@@ -39,6 +39,7 @@ type t = {
   mutable hi_busy : bool;
   mutable last : float; (* time up to which PS progress is accounted *)
   mutable timer : Engine.handle option;
+  fire : unit -> unit; (* [on_timer] of this CPU, allocated once *)
   util : Stats.Utilization.t;
 }
 
@@ -47,21 +48,6 @@ let epsilon = 1e-6 (* instructions *)
 let cmp_job a b =
   let c = Float.compare a.finish_v b.finish_v in
   if c <> 0 then c else Int.compare a.jseq b.jseq
-
-let create eng ~rate =
-  assert (rate > 0.);
-  {
-    eng;
-    rate;
-    ps = Heap.create ~cmp:cmp_job;
-    v = 0.;
-    jseq = 0;
-    hi = Queue.create ();
-    hi_busy = false;
-    last = Engine.now eng;
-    timer = None;
-    util = Stats.Utilization.create ~now:(Engine.now eng);
-  }
 
 let rate t = t.rate
 
@@ -125,7 +111,7 @@ let rec reschedule t =
     let j = Heap.top t.ps in
     let n = float_of_int (Heap.size t.ps) in
     let delay = Float.max 0. ((j.finish_v -. t.v) *. n /. t.rate) in
-    t.timer <- Some (Engine.schedule_after t.eng ~delay (fun () -> on_timer t))
+    t.timer <- Some (Engine.schedule_after t.eng ~delay t.fire)
   end
 
 and on_timer t =
@@ -135,6 +121,25 @@ and on_timer t =
   record_util t;
   reschedule t;
   List.iter (fun j -> j.k ()) done_
+
+let create eng ~rate =
+  assert (rate > 0.);
+  let rec t =
+    {
+      eng;
+      rate;
+      ps = Heap.create ~cmp:cmp_job;
+      v = 0.;
+      jseq = 0;
+      hi = Queue.create ();
+      hi_busy = false;
+      last = Engine.now eng;
+      timer = None;
+      fire = (fun () -> on_timer t);
+      util = Stats.Utilization.create ~now:(Engine.now eng);
+    }
+  in
+  t
 
 let rec pump_hi t =
   if (not t.hi_busy) && not (Queue.is_empty t.hi) then begin
@@ -174,12 +179,12 @@ let submit_priority t ~instructions k =
 let consume t ~instructions =
   if instructions > 0. then
     Engine.suspend (fun (r : unit Engine.resolver) ->
-        submit t ~instructions (fun () -> r.resolve ()))
+        submit t ~instructions r.resolve)
 
 let consume_priority t ~instructions =
   if instructions > 0. then
     Engine.suspend (fun (r : unit Engine.resolver) ->
-        submit_priority t ~instructions (fun () -> r.resolve ()))
+        submit_priority t ~instructions r.resolve)
 
 let ps_load t = Heap.size t.ps
 

@@ -31,29 +31,25 @@ let record_util t =
     ~level:(if t.busy then 1.0 else 0.0)
 
 let rec pump t =
-  if not t.busy then begin
-    let next =
-      if not (Queue.is_empty t.writes) then Some (`Write, Queue.pop t.writes)
-      else if not (Queue.is_empty t.reads) then Some (`Read, Queue.pop t.reads)
-      else None
-    in
-    match next with
-    | None -> ()
-    | Some (kind, k) ->
-        t.busy <- true;
-        record_util t;
-        let service = Rng.uniform t.rng ~lo:t.min_time ~hi:t.max_time in
-        ignore
-          (Engine.schedule_after t.eng ~delay:service (fun () ->
-               t.busy <- false;
-               (match kind with
-               | `Read -> t.n_reads <- t.n_reads + 1
-               | `Write -> t.n_writes <- t.n_writes + 1);
-               record_util t;
-               pump t;
-               k ())
-            : Engine.handle)
-  end
+  if not t.busy then
+    if not (Queue.is_empty t.writes) then
+      serve t ~write:true (Queue.pop t.writes)
+    else if not (Queue.is_empty t.reads) then
+      serve t ~write:false (Queue.pop t.reads)
+
+and serve t ~write k =
+  t.busy <- true;
+  record_util t;
+  let service = Rng.uniform t.rng ~lo:t.min_time ~hi:t.max_time in
+  ignore
+    (Engine.schedule_after t.eng ~delay:service (fun () ->
+         t.busy <- false;
+         if write then t.n_writes <- t.n_writes + 1
+         else t.n_reads <- t.n_reads + 1;
+         record_util t;
+         pump t;
+         k ())
+      : Engine.handle)
 
 let submit_read t k =
   Queue.push k t.reads;
@@ -65,11 +61,11 @@ let submit_write t k =
 
 let read t =
   Engine.suspend (fun (r : unit Engine.resolver) ->
-      submit_read t (fun () -> r.resolve ()))
+      submit_read t r.resolve)
 
 let write t =
   Engine.suspend (fun (r : unit Engine.resolver) ->
-      submit_write t (fun () -> r.resolve ()))
+      submit_write t r.resolve)
 
 let queue_length t =
   Queue.length t.reads + Queue.length t.writes + if t.busy then 1 else 0
