@@ -38,17 +38,34 @@ let failure_to_string f =
 let with_algorithm params algorithm =
   { params with Params.cc = { params.Params.cc with Params.algorithm } }
 
-(** One fully instrumented run: audit + plan fingerprints, optionally an
-    event trace and caller instrumentation (e.g. typed-event sinks or
-    the time-series sampler), applied between creation and execution. *)
+(* A ring sink on the machine's typed event stream keeping the last
+   [capacity] events; the returned thunk formats them, oldest first. *)
+let attach_tail m capacity =
+  let ring = Queue.create () in
+  Tracer.attach (Ddbm.Machine.enable_events m) (fun ~time ev ->
+      Queue.push (time, ev) ring;
+      if Queue.length ring > capacity then ignore (Queue.pop ring));
+  fun () ->
+    List.of_seq
+      (Seq.map
+         (fun (time, ev) -> Format.asprintf "t=%.6f %a" time Event.pp ev)
+         (Queue.to_seq ring))
+
+(** One fully instrumented run: audit + plan fingerprints, optionally the
+    tail of the typed event stream and caller instrumentation (e.g.
+    typed-event sinks or the time-series sampler), applied between
+    creation and execution. *)
 let run_instrumented ?trace_capacity ?instrument params =
   let m = Ddbm.Machine.create params in
   let audit = Ddbm.Machine.enable_audit m in
   Ddbm.Machine.enable_fingerprints m;
-  let trace = Option.map (fun capacity -> Ddbm.Machine.enable_trace ~capacity m) trace_capacity in
+  let tail = Option.map (attach_tail m) trace_capacity in
   Option.iter (fun f -> f m) instrument;
   let result = Ddbm.Machine.execute m in
-  (result, audit, Ddbm.Machine.workload_fingerprints m, trace)
+  ( result,
+    audit,
+    Ddbm.Machine.workload_fingerprints m,
+    match tail with Some f -> f () | None -> [] )
 
 (* Prefix agreement of two per-terminal fingerprint streams: the shorter
    run must be a prefix of the longer (the algorithms completed different
@@ -61,14 +78,14 @@ let rec prefix_mismatch pos a b =
 
 (** Audit + invariants + determinism for [params] as given (single
     algorithm). Returns the first run's result and fingerprints for the
-    cross-algorithm checks, plus the event trace (when requested) for
+    cross-algorithm checks, plus the event-stream tail (when requested) for
     post-mortems either way. [instrument] is applied to *both* runs of
     the determinism check — asymmetric instrumentation (the sampler
     schedules engine events) would make the two runs legitimately
     diverge. *)
 let check_algorithm_traced ?trace_capacity ?instrument params :
     (Ddbm.Sim_result.t * int list array, failure) result
-    * Desim.Trace.t option =
+    * string list =
   let r1, audit, prints, trace =
     run_instrumented ?trace_capacity ?instrument params
   in
@@ -218,7 +235,7 @@ type replay_outcome = {
 }
 
 (** Load an artifact and re-execute its (seed, params, algorithm) with
-    audit, invariants, determinism check and an event trace attached.
+    audit, invariants, determinism check and an event-stream tail attached.
     The fault plan — chaos switches included — rides in the artifact's
     parameters, so [Machine.create] re-applies it; nothing needs
     resetting afterwards. [instrument] is applied to every machine (see
@@ -233,13 +250,7 @@ let replay_file ?(trace_capacity = 5_000) ?instrument path :
           artifact.Replay.params
       with
       | exception Invalid_argument msg -> Error msg
-      | outcome, trace ->
-          let trace_tail =
-            match trace with
-            | Some tr ->
-                List.map Desim.Trace.format_event (Desim.Trace.events tr)
-            | None -> []
-          in
+      | outcome, trace_tail ->
           Ok
             (match outcome with
             | Ok (result, _) ->

@@ -20,10 +20,6 @@ val create : ?histograms:bool -> Ddbm_model.Params.t -> t
     {!execute}, pass it to {!Audit.check}. *)
 val enable_audit : t -> Audit.t
 
-(** Attach a bounded event trace (transaction commits, aborts, abort
-    requests) to a freshly created machine. *)
-val enable_trace : ?capacity:int -> t -> Desim.Trace.t
-
 (** Attach (or retrieve) the typed lifecycle-event tracer (before
     {!execute}). Idempotent; attach sinks (e.g. {!Trace_export} or
     {!Timeline}) with [Ddbm_model.Tracer.attach]. A machine without
@@ -46,11 +42,12 @@ val enable_fingerprints : t -> unit
     {!enable_fingerprints} was called). *)
 val workload_fingerprints : t -> int list array
 
-(** Typed metric registry snapshot (build after {!execute}): windowed
-    counters and rates, per-node utilization/queue-depth rollups, and the
-    tail-latency histogram families for response time, every
-    {!Ddbm_model.Decomp} component, 2PC in-doubt duration, WAL force
-    latency, and recovery time. Serialize with
+(** Typed metric registry snapshot (build after {!execute}): the
+    result's exposed columns ({!Sim_result.metric_families}), the window
+    length, per-node utilization/queue-depth rollups, and the tail-latency
+    histogram families for response time, every {!Ddbm_model.Decomp}
+    component, 2PC in-doubt duration, WAL force latency, recovery time
+    and admission-queue wait. Serialize with
     {!Ddbm_model.Metric.to_prometheus} / {!Ddbm_model.Metric.to_json}. *)
 val registry : t -> Ddbm_model.Metric.t
 

@@ -169,56 +169,6 @@ module Batch_means = struct
     t.total <- 0
 end
 
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    counts : int array;
-    mutable n : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    assert (bins > 0 && hi > lo);
-    { lo; hi; counts = Array.make bins 0; n = 0 }
-
-  let nbins t = Array.length t.counts
-
-  let add t x =
-    let w = (t.hi -. t.lo) /. float_of_int (nbins t) in
-    let i = int_of_float ((x -. t.lo) /. w) in
-    let i = if i < 0 then 0 else if i >= nbins t then nbins t - 1 else i in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.n <- t.n + 1
-
-  let count t = t.n
-
-  let quantile t q =
-    if t.n = 0 then nan
-    else begin
-      let target = q *. float_of_int t.n in
-      let w = (t.hi -. t.lo) /. float_of_int (nbins t) in
-      let rec go i acc =
-        if i >= nbins t then t.hi
-        else
-          let acc' = acc +. float_of_int t.counts.(i) in
-          if acc' >= target then
-            let frac =
-              if t.counts.(i) = 0 then 0.
-              else (target -. acc) /. float_of_int t.counts.(i)
-            in
-            t.lo +. (w *. (float_of_int i +. frac))
-          else go (i + 1) acc'
-      in
-      go 0 0.
-    end
-
-  let bins t =
-    let w = (t.hi -. t.lo) /. float_of_int (nbins t) in
-    List.init (nbins t) (fun i ->
-        (t.lo +. (w *. float_of_int i), t.lo +. (w *. float_of_int (i + 1)),
-         t.counts.(i)))
-end
-
 module Hdr = struct
   (* Bucket edges are exactly representable (power-of-two octave times
      1 + s/2^sub_bits), and the bucket index is derived from the raw IEEE-754

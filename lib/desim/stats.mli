@@ -102,21 +102,6 @@ module Batch_means : sig
   val reset : t -> unit
 end
 
-(** Fixed-bin histogram over [lo, hi); out-of-range values are clamped to
-    the edge bins. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-
-  (** [quantile t q] for q in [0,1], linear within bins; nan when empty. *)
-  val quantile : t -> float -> float
-
-  val bins : t -> (float * float * int) list
-end
-
 (** Deterministic log-scaled fixed-bucket (HDR-style) histogram for latency
     tails. Each power-of-two octave in [2^min_exp, 2^max_exp) is split into
     2^sub_bits equal-mantissa buckets; the bucket index is computed from the

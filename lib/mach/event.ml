@@ -1,9 +1,9 @@
 (** Typed lifecycle events of the simulated machine.
 
-    Unlike the free-form string {!Desim.Trace}, these events carry the
-    transaction, node and page identifiers needed to reconstruct a
-    per-transaction timeline ({!Ddbm.Timeline}) or to export a trace for
-    Perfetto. Events are emitted by the machine only while a
+    The machine's one event stream: events carry the transaction, node
+    and page identifiers needed to reconstruct a per-transaction timeline
+    ({!Ddbm.Timeline}), to export a trace for Perfetto, or to print the
+    tail of a failing run. Events are emitted by the machine only while a
     {!Tracer.t} is attached, so tracing costs nothing otherwise. *)
 
 open Ids

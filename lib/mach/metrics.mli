@@ -98,10 +98,6 @@ val active : t -> int
     commits; components sum to {!mean_response} up to float rounding. *)
 val decomp_mean : t -> Decomp.t
 
-(** Windowed per-transaction (response, decomposition) pairs, oldest
-    first. *)
-val decomp_records : t -> (float * Decomp.t) list
-
 (** Aggregated CC blocking-time tally (owned by callers). *)
 val blocked_time : t -> Desim.Stats.Tally.t
 

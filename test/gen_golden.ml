@@ -1,9 +1,11 @@
-(* Regenerate the golden Chrome trace used by test_observability:
+(* Regenerate the golden files used by test_observability:
 
      dune exec test/gen_golden.exe
 
-   writes test/golden/trace_tiny.json (run from the repo root). The run
-   parameters here MUST match [Test_observability.golden_params]. *)
+   writes test/golden/trace_tiny.json and test/golden/results_tiny.csv
+   (run from the repo root). The trace run parameters here MUST match
+   [Test_observability.golden_params]; the CSV configurations live in
+   [Golden_csv]. *)
 
 open Ddbm_model
 
@@ -34,6 +36,12 @@ let golden_params =
     arrivals = Arrival.zero;
   }
 
+let write path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc;
+  Printf.printf "wrote %d bytes to %s\n" (String.length contents) path
+
 let () =
   let m = Ddbm.Machine.create golden_params in
   Ddbm.Machine.enable_sampler m ~interval:1.;
@@ -47,8 +55,5 @@ let () =
   Tracer.attach tracer (Ddbm.Trace_export.Chrome.sink chrome);
   ignore (Ddbm.Machine.execute m : Ddbm.Sim_result.t);
   Ddbm.Trace_export.Chrome.close chrome;
-  let path = "test/golden/trace_tiny.json" in
-  let oc = open_out_bin path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %d bytes to %s\n" (Buffer.length buf) path
+  write "test/golden/trace_tiny.json" (Buffer.contents buf);
+  write "test/golden/results_tiny.csv" (Golden_csv.render ())

@@ -195,16 +195,6 @@ let test_more_nodes_more_throughput () =
     (Printf.sprintf "4 nodes (%.2f) > 2x 1 node (%.2f)" t4 t1)
     true (t4 > 2. *. t1)
 
-let test_csv_roundtrip_shape () =
-  let r = Ddbm.Machine.run (small_params ()) in
-  let header_cols =
-    List.length (String.split_on_char ',' Ddbm.Sim_result.csv_header)
-  in
-  let row_cols =
-    List.length (String.split_on_char ',' (Ddbm.Sim_result.to_csv_row r))
-  in
-  Alcotest.(check int) "csv columns align" header_cols row_cols
-
 let test_o2pl_equals_2pl_without_replication () =
   (* without replicated copies the two algorithms are the same machine;
      determinism makes the equality exact *)
@@ -269,7 +259,6 @@ let suite =
       test_think_time_reduces_load;
     Alcotest.test_case "more nodes more throughput" `Slow
       test_more_nodes_more_throughput;
-    Alcotest.test_case "csv shape" `Slow test_csv_roundtrip_shape;
     Alcotest.test_case "O2PL = 2PL without replication" `Slow
       test_o2pl_equals_2pl_without_replication;
     Alcotest.test_case "logging costs throughput" `Slow

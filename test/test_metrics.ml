@@ -58,13 +58,7 @@ let test_csv_has_tail_columns () =
         (Printf.sprintf "csv header has %s" col)
         true
         (List.exists (String.equal col) (String.split_on_char ',' header)))
-    [ "response_p99"; "response_p999" ];
-  let r = Ddbm.Machine.run (small_params ()) in
-  let row = Ddbm.Sim_result.to_csv_row r in
-  Alcotest.(check int)
-    "row arity matches header"
-    (List.length (String.split_on_char ',' header))
-    (List.length (String.split_on_char ',' row))
+    [ "response_p99"; "response_p999" ]
 
 (* --- registry exposition -------------------------------------------- *)
 

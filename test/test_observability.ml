@@ -396,21 +396,18 @@ let test_golden_chrome_trace () =
 
 (* --- Sim_result surface -------------------------------------------- *)
 
-let test_csv_arity () =
-  let result = Ddbm.Machine.run (mk_params ~measure:5. ()) in
-  let header_cols =
-    List.length (String.split_on_char ',' Ddbm.Sim_result.csv_header)
+let test_golden_results_csv () =
+  let path =
+    if Sys.file_exists "golden/results_tiny.csv" then "golden/results_tiny.csv"
+    else "test/golden/results_tiny.csv"
   in
-  let row_cols =
-    List.length
-      (String.split_on_char ',' (Ddbm.Sim_result.to_csv_row result))
-  in
-  Alcotest.(check int) "header and row column counts" header_cols row_cols;
-  Alcotest.(check bool) "decomposition columns present" true
-    (List.for_all
-       (fun (name, _) ->
-         List.mem name (String.split_on_char ',' Ddbm.Sim_result.csv_header))
-       Decomp.fields)
+  let expected = In_channel.with_open_bin path In_channel.input_all in
+  let actual = Golden_csv.render () in
+  if not (String.equal expected actual) then
+    Alcotest.failf
+      "results CSV diverged from golden file:@.expected:@.%s@.got:@.%s@.\
+       regenerate with `dune exec test/gen_golden.exe` if intentional"
+      expected actual
 
 let suite =
   [
@@ -428,5 +425,5 @@ let suite =
     Alcotest.test_case "exporters emit valid JSON" `Slow
       test_exporters_emit_valid_json;
     Alcotest.test_case "golden chrome trace" `Slow test_golden_chrome_trace;
-    Alcotest.test_case "csv header/row arity" `Slow test_csv_arity;
+    Alcotest.test_case "golden results csv" `Slow test_golden_results_csv;
   ]

@@ -50,30 +50,6 @@ let test_utilization () =
   Alcotest.(check bool) "75% busy" true
     (feq (Stats.Utilization.value u ~now:4.) 0.75)
 
-let test_histogram_quantile () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  for i = 0 to 99 do
-    Stats.Histogram.add h (float_of_int (i mod 10) +. 0.5)
-  done;
-  Alcotest.(check int) "count" 100 (Stats.Histogram.count h);
-  let med = Stats.Histogram.quantile h 0.5 in
-  Alcotest.(check bool)
-    (Printf.sprintf "median %.2f near 5" med)
-    true
-    (abs_float (med -. 5.) < 1.)
-
-let test_histogram_clamps () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:1. ~bins:4 in
-  Stats.Histogram.add h (-5.);
-  Stats.Histogram.add h 100.;
-  Alcotest.(check int) "clamped count" 2 (Stats.Histogram.count h);
-  match Stats.Histogram.bins h with
-  | (_, _, first) :: rest ->
-      let _, _, last = List.nth rest (List.length rest - 1) in
-      Alcotest.(check int) "low clamped" 1 first;
-      Alcotest.(check int) "high clamped" 1 last
-  | [] -> Alcotest.fail "no bins"
-
 let test_batch_means_mean () =
   let b = Stats.Batch_means.create ~batch_size:4 in
   for i = 1 to 16 do
@@ -271,8 +247,6 @@ let suite =
     Alcotest.test_case "timeseries average" `Quick test_timeseries_average;
     Alcotest.test_case "timeseries window" `Quick test_timeseries_window;
     Alcotest.test_case "utilization" `Quick test_utilization;
-    Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
-    Alcotest.test_case "histogram clamps" `Quick test_histogram_clamps;
     Alcotest.test_case "batch means mean" `Quick test_batch_means_mean;
     Alcotest.test_case "batch means partial batch" `Quick
       test_batch_means_partial_batch_excluded;

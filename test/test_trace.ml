@@ -1,129 +1,123 @@
-open Desim
+(* The machine's one event stream: typed-event dispatch through a
+   {!Tracer}, the bounded tail that replay prints for a reproduced
+   failure, and the lifecycle events of a live run. *)
+
+open Ddbm_model
+
+let tiny_params ?(algorithm = Params.Twopl) ?(terminals = 4) ?(seed = 3)
+    ?(measure = 2.) () =
+  let d = Params.default in
+  {
+    Params.database =
+      {
+        d.Params.database with
+        Params.num_proc_nodes = 4;
+        partitioning_degree = 4;
+        file_size = 60;
+      };
+    workload =
+      { d.Params.workload with Params.think_time = 0.; num_terminals = terminals };
+    resources = d.Params.resources;
+    cc = { d.Params.cc with Params.algorithm };
+    run =
+      {
+        Params.seed;
+        warmup = 0.;
+        measure;
+        restart_delay_floor = 0.5;
+        fresh_restart_plan = false;
+      };
+    durability = Params.default_durability;
+    faults = Fault_plan.zero;
+    arrivals = Arrival.zero;
+  }
 
 let test_emit_and_read () =
-  let eng = Engine.create () in
-  let tr = Trace.create eng ~capacity:10 in
-  Engine.spawn eng (fun () ->
-      Trace.emit tr ~tag:"a" "first";
-      Engine.wait 1.5;
-      Trace.emit tr ~tag:"b" "second");
-  Engine.run eng;
-  match Trace.events tr with
-  | [ e1; e2 ] ->
-      Alcotest.(check string) "tag" "a" e1.Trace.tag;
-      Alcotest.(check (float 1e-9)) "time 0" 0. e1.Trace.time;
-      Alcotest.(check (float 1e-9)) "time 1.5" 1.5 e2.Trace.time;
-      Alcotest.(check string) "message" "second" e2.Trace.message
-  | evs -> Alcotest.fail (Printf.sprintf "expected 2 events, got %d" (List.length evs))
-
-let test_ring_bounded () =
-  let eng = Engine.create () in
-  let tr = Trace.create eng ~capacity:3 in
-  for i = 1 to 10 do
-    Trace.emit tr ~tag:"x" (string_of_int i)
-  done;
-  Alcotest.(check int) "emitted counts all" 10 (Trace.emitted tr);
-  let kept = List.map (fun e -> e.Trace.message) (Trace.events tr) in
-  Alcotest.(check (list string)) "last three kept" [ "8"; "9"; "10" ] kept
-
-let test_tag_filter () =
-  let eng = Engine.create () in
-  let tr = Trace.create eng ~capacity:10 in
-  Trace.emit tr ~tag:"commit" "c1";
-  Trace.emit tr ~tag:"abort" "a1";
-  Trace.emit tr ~tag:"commit" "c2";
-  Alcotest.(check int) "two commits" 2
-    (List.length (Trace.events_with_tag tr "commit"))
+  let tr = Tracer.create () in
+  let seen = ref [] in
+  Tracer.attach tr (fun ~time ev -> seen := (time, ev) :: !seen);
+  Tracer.emit tr ~time:0. (Event.Submit { tid = 1 });
+  Tracer.emit tr ~time:1.5 (Event.Submit { tid = 2 });
+  match List.rev !seen with
+  | [ (t1, Event.Submit { tid = 1 }); (t2, Event.Submit { tid = 2 }) ] ->
+      Alcotest.(check (float 0.)) "time 0" 0. t1;
+      Alcotest.(check (float 0.)) "time 1.5" 1.5 t2
+  | evs ->
+      Alcotest.failf "expected the two submits in order, got %d events"
+        (List.length evs)
 
 let test_enabled_toggle () =
-  let eng = Engine.create () in
-  let tr = Trace.create eng ~capacity:10 in
-  Alcotest.(check bool) "enabled by default" true (Trace.enabled tr);
-  Trace.set_enabled tr false;
-  Trace.emit tr ~tag:"x" "dropped";
-  Alcotest.(check int) "emit dropped when disabled" 0 (Trace.emitted tr);
-  Trace.set_enabled tr true;
-  Trace.emit tr ~tag:"x" "kept";
-  Alcotest.(check int) "emit recorded when re-enabled" 1 (Trace.emitted tr)
-
-let test_emitf_lazy () =
-  let eng = Engine.create () in
-  let tr = Trace.create eng ~capacity:10 in
-  let calls = ref 0 in
-  Trace.set_enabled tr false;
-  Trace.emitf tr ~tag:"x" (fun () ->
-      incr calls;
-      "expensive");
-  Alcotest.(check int) "message not built when disabled" 0 !calls;
-  Alcotest.(check int) "nothing emitted" 0 (Trace.emitted tr);
-  Trace.set_enabled tr true;
-  Trace.emitf tr ~tag:"x" (fun () ->
-      incr calls;
-      "expensive");
-  Alcotest.(check int) "message built when enabled" 1 !calls;
-  Alcotest.(check int) "one event emitted" 1 (Trace.emitted tr)
+  (* the machine builds an event only while a sink is attached *)
+  let tr = Tracer.create () in
+  Alcotest.(check bool) "inactive without sinks" false (Tracer.active tr);
+  Tracer.attach tr (fun ~time:_ _ -> ());
+  Alcotest.(check bool) "active once a sink is attached" true
+    (Tracer.active tr)
 
 let test_sink () =
-  let eng = Engine.create () in
-  let tr = Trace.create eng ~capacity:10 in
-  let seen = ref [] in
-  Trace.set_sink tr (Some (fun e -> seen := e.Trace.message :: !seen));
-  Trace.emit tr ~tag:"t" "hello";
-  Alcotest.(check (list string)) "sink called" [ "hello" ] !seen
+  let tr = Tracer.create () in
+  let order = ref [] in
+  Tracer.attach tr (fun ~time:_ _ -> order := "first" :: !order);
+  Tracer.attach tr (fun ~time:_ _ -> order := "second" :: !order);
+  Tracer.emit tr ~time:0. (Event.Submit { tid = 1 });
+  Alcotest.(check (list string))
+    "sinks observe in attachment order" [ "first"; "second" ]
+    (List.rev !order)
+
+(* Every event of a run, formatted as the replay tail prints it. *)
+let run_with_tail ~capacity params =
+  let all = ref [] in
+  let instrument m =
+    Tracer.attach (Ddbm.Machine.enable_events m) (fun ~time ev ->
+        all := Format.asprintf "t=%.6f %a" time Event.pp ev :: !all)
+  in
+  let _, _, _, tail =
+    Ddbm_check.Conformance.run_instrumented ~trace_capacity:capacity
+      ~instrument params
+  in
+  (List.rev !all, tail)
+
+let test_ring_bounded () =
+  let all, tail = run_with_tail ~capacity:3 (tiny_params ()) in
+  Alcotest.(check bool) "the run emits more than the ring holds" true
+    (List.length all > 3);
+  Alcotest.(check (list string))
+    "the last three events are kept, oldest first"
+    (List.filteri (fun i _ -> i >= List.length all - 3) all)
+    tail
 
 let test_format () =
-  let eng = Engine.create () in
-  let tr = Trace.create eng ~capacity:4 in
-  Trace.emit tr ~tag:"tag" "msg";
-  match Trace.events tr with
-  | [ ev ] ->
-      Alcotest.(check string) "formatted" "t=0.000000 [tag] msg"
-        (Trace.format_event ev)
-  | _ -> Alcotest.fail "one event expected"
+  let _, tail = run_with_tail ~capacity:1_000_000 (tiny_params ()) in
+  match tail with
+  | first :: _ ->
+      Alcotest.(check string) "time, event name, fields"
+        "t=0.000000 submit tid=0" first
+  | [] -> Alcotest.fail "empty tail"
 
 let test_machine_trace () =
-  let open Ddbm_model in
-  let d = Params.default in
   let params =
-    {
-      Params.database =
-        { d.Params.database with Params.num_proc_nodes = 4;
-          partitioning_degree = 4; file_size = 60 };
-      workload =
-        { d.Params.workload with Params.think_time = 0.; num_terminals = 32 };
-      resources = d.Params.resources;
-      cc = { d.Params.cc with Params.algorithm = Params.Wound_wait };
-      run =
-        { Params.seed = 4; warmup = 0.; measure = 30.;
-          restart_delay_floor = 0.5; fresh_restart_plan = false };
-      durability = Params.default_durability;
-      faults = Fault_plan.zero;
-      arrivals = Arrival.zero;
-    }
+    tiny_params ~algorithm:Params.Wound_wait ~terminals:32 ~seed:4
+      ~measure:30. ()
   in
   let m = Ddbm.Machine.create params in
-  let tr = Ddbm.Machine.enable_trace m in
+  let events = ref [] in
+  Tracer.attach (Ddbm.Machine.enable_events m) (fun ~time:_ ev ->
+      events := ev :: !events);
   let r = Ddbm.Machine.execute m in
-  Alcotest.(check int) "commit events = commits... at least window's worth"
-    r.Ddbm.Sim_result.commits
-    (List.length
-       (List.filter
-          (fun (e : Desim.Trace.event) ->
-            e.Desim.Trace.time >= 0.)
-          (Desim.Trace.events_with_tag tr "commit"))
-    |> fun kept -> Stdlib.min kept r.Ddbm.Sim_result.commits);
-  Alcotest.(check bool) "wound trace present" true
-    (List.length (Desim.Trace.events_with_tag tr "abort-request") > 0);
-  Alcotest.(check bool) "abort trace present" true
-    (List.length (Desim.Trace.events_with_tag tr "abort") > 0)
+  let count p = List.length (List.filter p !events) in
+  Alcotest.(check bool) "a committed event per commit" true
+    (count (function Event.Committed _ -> true | _ -> false)
+    >= r.Ddbm.Sim_result.commits);
+  Alcotest.(check bool) "wounds present" true
+    (count (function Event.Wound _ -> true | _ -> false) > 0);
+  Alcotest.(check bool) "aborts present" true
+    (count (function Event.Aborted _ -> true | _ -> false) > 0)
 
 let suite =
   [
     Alcotest.test_case "emit and read" `Quick test_emit_and_read;
     Alcotest.test_case "ring bounded" `Quick test_ring_bounded;
-    Alcotest.test_case "tag filter" `Quick test_tag_filter;
     Alcotest.test_case "enabled toggle" `Quick test_enabled_toggle;
-    Alcotest.test_case "emitf is lazy" `Quick test_emitf_lazy;
     Alcotest.test_case "sink" `Quick test_sink;
     Alcotest.test_case "format" `Quick test_format;
     Alcotest.test_case "machine trace" `Slow test_machine_trace;
