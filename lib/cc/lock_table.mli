@@ -43,15 +43,19 @@ val release_all : t -> Txn.t -> reject:exn -> unit
     holders and incompatible waiters queued ahead of it. *)
 val edges : t -> Cc_intf.edge list
 
+(** Distinct transactions blocking any of [txn]'s queued requests, in
+    descending key order ({!Txn.compare_key}): exactly [txn]'s successors
+    in [Wfg.of_edges (edges t)], read from the live table without
+    building the graph. A transaction may queue more than one request on
+    a node (a cohort plus a replica write). *)
+val waits_for : t -> Txn.t -> Txn.t list
+
 (** Number of queued (blocked) requests. *)
 val num_waiting : t -> int
 
 (** Pages on which [txn] currently holds an exclusive lock — exactly the
     updates a lock-based scheme installs at commit. *)
 val exclusive_pages : t -> Txn.t -> Ids.Page.t list
-
-(** Current blockers of [txn]'s waiting request on [page] (testing). *)
-val current_blockers : t -> Txn.t -> Ids.Page.t -> Txn.t list
 
 (** Mode held by [txn] on [page], if any (testing). *)
 val held : t -> Txn.t -> Ids.Page.t -> mode option

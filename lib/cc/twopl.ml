@@ -2,31 +2,20 @@
 
     Cohorts take read locks as they read and convert them to write locks on
     update. Locks are held until commit or abort. Whenever a cohort blocks,
-    a local deadlock detection pass runs over this node's waits-for graph;
-    global deadlocks are left to the Snoop detector (see {!Snoop}). The
-    victim is the transaction with the most recent initial startup time in
-    the cycle; its abort is routed to its coordinator via
-    [hooks.request_abort]. *)
+    local deadlock detection searches this node's live lock table for a
+    waits-for cycle through it; global deadlocks are left to the Snoop
+    detector (see {!Snoop}). The victim is the transaction with the most
+    recent initial startup time in the cycle; its abort is routed to its
+    coordinator via [hooks.request_abort]. *)
 
 open Ddbm_model
 
 type t = { hooks : Cc_intf.hooks; locks : Lock_table.t }
 
-let detect_local t (requester : Txn.t) =
-  (* Victimize until no cycle through the requester remains. request_abort
-     marks victims doomed synchronously, which [Wfg] treats as broken
-     edges, so this loop terminates. *)
-  let continue_ = ref true in
-  while !continue_ do
-    let graph = Wfg.of_edges (Lock_table.edges t.locks) in
-    let removed = Hashtbl.create 4 in
-    match Wfg.find_cycle_through graph requester ~removed with
-    | None -> continue_ := false
-    | Some cycle ->
-        let victim = Wfg.youngest cycle in
-        t.hooks.Cc_intf.request_abort victim Txn.Local_deadlock;
-        if Txn.same_attempt victim requester then continue_ := false
-  done
+let detect_local t requester =
+  Wfg.resolve_local
+    ~successors:(Lock_table.waits_for t.locks)
+    ~request_abort:t.hooks.Cc_intf.request_abort requester
 
 let acquire t txn page mode =
   t.hooks.Cc_intf.charge_cc_request ();

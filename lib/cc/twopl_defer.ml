@@ -19,18 +19,10 @@ type t = {
   write_sets : (int * int, Page.t list ref) Hashtbl.t;
 }
 
-let detect_local t (requester : Txn.t) =
-  let continue_ = ref true in
-  while !continue_ do
-    let graph = Wfg.of_edges (Lock_table.edges t.locks) in
-    let removed = Hashtbl.create 4 in
-    match Wfg.find_cycle_through graph requester ~removed with
-    | None -> continue_ := false
-    | Some cycle ->
-        let victim = Wfg.youngest cycle in
-        t.hooks.Cc_intf.request_abort victim Txn.Local_deadlock;
-        if Txn.same_attempt victim requester then continue_ := false
-  done
+let detect_local t requester =
+  Wfg.resolve_local
+    ~successors:(Lock_table.waits_for t.locks)
+    ~request_abort:t.hooks.Cc_intf.request_abort requester
 
 let cc_read t txn page =
   t.hooks.Cc_intf.charge_cc_request ();

@@ -1,35 +1,22 @@
 (** Waits-for graphs and cycle detection.
 
-    Used both for block-time local deadlock detection (2PL) and by the
-    Snoop global detector, which unions the edges of all nodes. Vertices
-    are transaction attempts; edges through doomed attempts are treated as
-    already broken. *)
+    Block-time local deadlock detection (2PL) searches the live lock table
+    through a successor function; the Snoop global detector builds a graph
+    from the union of every node's edges. Vertices are transaction
+    attempts; edges through doomed attempts are treated as already
+    broken. *)
 
 open Ddbm_model
 
-type key = int * int
+type t = Txn.t list Txn.Table.t  (** waiter -> holders *)
 
-module Key_table = Hashtbl
-
-type t = {
-  adj : (key, Txn.t list) Key_table.t;  (** waiter -> holders *)
-  txns : (key, Txn.t) Key_table.t;
-}
-
-let create () = { adj = Key_table.create 64; txns = Key_table.create 64 }
-
-let vertex t txn =
-  if not (Key_table.mem t.txns (Txn.key txn)) then
-    Key_table.replace t.txns (Txn.key txn) txn
+let create () = Txn.Table.create 64
 
 let add_edge t ~(waiter : Txn.t) ~(holder : Txn.t) =
   if not (Txn.same_attempt waiter holder) then begin
-    vertex t waiter;
-    vertex t holder;
-    let k = Txn.key waiter in
-    let cur = Option.value ~default:[] (Key_table.find_opt t.adj k) in
+    let cur = Option.value ~default:[] (Txn.Table.find_opt t waiter) in
     if not (List.exists (Txn.same_attempt holder) cur) then
-      Key_table.replace t.adj k (holder :: cur)
+      Txn.Table.replace t waiter (holder :: cur)
   end
 
 let of_edges edges =
@@ -39,38 +26,36 @@ let of_edges edges =
     edges;
   t
 
-let successors t txn =
-  Option.value ~default:[] (Key_table.find_opt t.adj (Txn.key txn))
+let successors t txn = Option.value ~default:[] (Txn.Table.find_opt t txn)
 
-let alive (txn : Txn.t) ~(removed : (key, unit) Key_table.t) =
-  (not txn.Txn.doomed) && not (Key_table.mem removed (Txn.key txn))
-
-(** [find_cycle_through t start ~removed] is a cycle containing [start]
-    (as the list of its member transactions), ignoring doomed and removed
-    vertices, or [None]. Depth-first search following waits-for edges. *)
-let find_cycle_through t start ~removed =
-  if not (alive start ~removed) then None
+(* Depth-first search from [start] following [successors], never entering
+   a vertex that is not [alive]. *)
+let search ~successors ~alive start =
+  if not (alive start) then None
   else begin
-    let visited = Key_table.create 16 in
-    let rec dfs path txn =
-      List.fold_left
-        (fun acc next ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-              if Txn.same_attempt next start then Some (List.rev (txn :: path))
-              else if (not (alive next ~removed))
-                      || Key_table.mem visited (Txn.key next)
-              then None
-              else begin
-                Key_table.replace visited (Txn.key next) ();
-                dfs (txn :: path) next
-              end)
-        None (successors t txn)
+    let visited = Txn.Table.create 16 in
+    let rec dfs path txn = scan (txn :: path) (successors txn)
+    and scan path = function
+      | [] -> None
+      | next :: rest ->
+          if Txn.same_attempt next start then Some (List.rev path)
+          else if (not (alive next)) || Txn.Table.mem visited next then
+            scan path rest
+          else begin
+            Txn.Table.replace visited next ();
+            match dfs path next with
+            | Some _ as cycle -> cycle
+            | None -> scan path rest
+          end
     in
-    Key_table.replace visited (Txn.key start) ();
+    Txn.Table.replace visited start ();
     dfs [] start
   end
+
+let not_doomed (txn : Txn.t) = not txn.Txn.doomed
+
+let find_cycle_through ~successors start =
+  search ~successors ~alive:not_doomed start
 
 (** Youngest member of a cycle = most recent initial startup time (the
     paper's deadlock victim rule). *)
@@ -85,32 +70,46 @@ let youngest cycle =
           else acc)
         first rest
 
+(** While a cycle runs through [requester], victimize its youngest member.
+    [request_abort] marks victims doomed synchronously, which the search
+    treats as broken edges, so this terminates; it stops early once the
+    requester itself is the victim. *)
+let resolve_local ~successors ~request_abort requester =
+  let rec loop () =
+    match find_cycle_through ~successors requester with
+    | None -> ()
+    | Some cycle ->
+        let victim = youngest cycle in
+        request_abort victim Txn.Local_deadlock;
+        if not (Txn.same_attempt victim requester) then loop ()
+  in
+  loop ()
+
 (** Repeatedly find a cycle anywhere in the graph, select its youngest
     member as the victim, remove it, and continue until acyclic. Returns
     the victims (used by the Snoop detector). *)
-let compare_key ((t1, a1) : key) ((t2, a2) : key) =
-  match Int.compare t1 t2 with 0 -> Int.compare a1 a2 | n -> n
-
 let break_all_cycles t =
-  let removed = Key_table.create 8 in
+  let removed = Txn.Table.create 8 in
+  let alive txn = not_doomed txn && not (Txn.Table.mem removed txn) in
   let victims = ref [] in
-  (* Visit vertices in key order, not bucket order, so the cycle found
+  (* Visit waiters in key order, not bucket order, so the cycle found
      first (and hence the victim set when cycles overlap) is independent
-     of hash-table layout. *)
+     of hash-table layout. A vertex that waits for nobody lies on no
+     cycle, so only waiters are visited. *)
   let vertices =
-    Key_table.fold (fun key txn acc -> (key, txn) :: acc) t.txns []
-    |> List.sort (fun (k1, _) (k2, _) -> compare_key k1 k2)
+    Txn.Table.fold (fun txn _ acc -> txn :: acc) t []
+    |> List.sort Txn.compare_key
   in
   let progress = ref true in
   while !progress do
     progress := false;
     List.iter
-      (fun (_, txn) ->
+      (fun txn ->
         if not !progress then
-          match find_cycle_through t txn ~removed with
+          match search ~successors:(successors t) ~alive txn with
           | Some cycle ->
               let victim = youngest cycle in
-              Key_table.replace removed (Txn.key victim) ();
+              Txn.Table.replace removed victim ();
               victims := victim :: !victims;
               progress := true
           | None -> ())

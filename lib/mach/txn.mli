@@ -54,6 +54,14 @@ val key : t -> int * int
 
 val same_attempt : t -> t -> bool
 
+(** Order attempts by key: [tid], then [attempt]. The canonical order of
+    waits-for edges and vertices, independent of hash-table layout. *)
+val compare_key : t -> t -> int
+
+(** Hashtable keyed by attempt ([same_attempt]); hashing allocates
+    nothing, unlike a [key] tuple under the polymorphic hash. *)
+module Table : Hashtbl.S with type key = t
+
 (** [older a b] per wound-wait seniority: true when [a] started strictly
     before [b]. *)
 val older : t -> t -> bool

@@ -248,6 +248,101 @@ let prop_no_conflicting_holders =
       Cc_harness.settle h;
       !ok && Lock_table.num_waiting locks = 0)
 
+(* [waits_for] unions the blockers of every queued request of the
+   transaction (here two, as for a cohort plus a replica write), each
+   blocker once, in descending key order. *)
+let test_waits_for_union () =
+  let h, locks, _ = mk () in
+  let t0 = Cc_harness.txn h ~tid:0 ~time:0. () in
+  let t1 = Cc_harness.txn h ~tid:1 ~time:1. () in
+  let t2 = Cc_harness.txn h ~tid:2 ~time:2. () in
+  let p1 = Cc_harness.page 1 and p2 = Cc_harness.page 2 in
+  ignore (async_request h locks t0 p1 Lock_table.X);
+  ignore (async_request h locks t1 p2 Lock_table.X);
+  Cc_harness.settle h;
+  ignore (async_request h locks t2 p1 Lock_table.S);
+  ignore (async_request h locks t2 p2 Lock_table.S);
+  Cc_harness.settle h;
+  let tids = List.map (fun (t : Txn.t) -> t.Txn.tid) in
+  Alcotest.(check (list int)) "t2 waits for t1, t0" [ 1; 0 ]
+    (tids (Lock_table.waits_for locks t2));
+  Alcotest.(check (list int)) "holders wait for nobody" []
+    (tids (Lock_table.waits_for locks t0));
+  Lock_table.release_all locks t2 ~reject:(Txn.Aborted Txn.Peer_abort);
+  Cc_harness.settle h;
+  Alcotest.(check (list int)) "released: no waits" []
+    (tids (Lock_table.waits_for locks t2))
+
+let keys = List.map (fun (t : Txn.t) -> (t.Txn.tid, t.Txn.attempt))
+
+(* Differential check of the live search against the snapshot it
+   replaces: after every step of a random script of requests (with
+   conversions and several queued requests per transaction) and
+   releases, each transaction's [waits_for] is its adjacency in
+   [Wfg.of_edges (edges t)], in the same order, and a cycle search from
+   it finds the same cycle either way. *)
+let prop_waits_for_matches_snapshot =
+  QCheck.Test.make ~name:"waits_for matches the snapshot graph" ~count:300
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 40)
+        (quad (int_range 0 7) (int_range 0 5) (int_range 0 2) bool))
+    (fun ops ->
+      let h, locks, _ = mk () in
+      (* two attempts of three tids: keys order by tid, then attempt *)
+      let txns =
+        Array.init 6 (fun i ->
+            Cc_harness.txn h ~tid:(i mod 3) ~attempt:(1 + (i / 3))
+              ~time:(float_of_int i) ())
+      in
+      let agrees () =
+        let g = Wfg.of_edges (Lock_table.edges locks) in
+        let live = Lock_table.waits_for locks in
+        Array.for_all
+          (fun t ->
+            keys (live t) = keys (Wfg.successors g t)
+            && Option.map keys (Wfg.find_cycle_through ~successors:live t)
+               = Option.map keys
+                   (Wfg.find_cycle_through ~successors:(Wfg.successors g) t))
+          txns
+      in
+      List.for_all
+        (fun (kind, i, page, exclusive) ->
+          (if kind = 0 then
+             Lock_table.release_all locks txns.(i)
+               ~reject:(Txn.Aborted Txn.Peer_abort)
+           else
+             let mode = if exclusive then Lock_table.X else Lock_table.S in
+             ignore (async_request h locks txns.(i) (Cc_harness.page page) mode));
+          Cc_harness.settle h;
+          agrees ())
+        ops)
+
+(* Minor words of a granted S request plus its release_all on an empty
+   table: the page entry and its bucket, the holder pair and its cell,
+   the transaction's record, its bucket and page cell, and release_all's
+   per-page closure. The count is deterministic; the pin carries about
+   10 % headroom, so one more allocation per request fails. *)
+let grant_release_words_pin = 33.0
+
+let test_grant_release_allocation () =
+  let h, locks, _ = mk () in
+  let t0 = Cc_harness.txn h ~tid:0 ~time:0. () in
+  let p = Cc_harness.page 1 in
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    Lock_table.request locks t0 p Lock_table.S ~on_block:ignore;
+    Lock_table.release_all locks t0 ~reject:Rejected
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per request and release (pin %.1f)" words
+       grant_release_words_pin)
+    true
+    (words <= grant_release_words_pin);
+  Alcotest.(check int) "table empty again" 0 (List.length (Lock_table.edges locks))
+
 let suite =
   [
     Alcotest.test_case "shared compatible" `Quick test_shared_compatible;
@@ -265,4 +360,8 @@ let suite =
     Alcotest.test_case "blocking tally" `Quick test_blocking_tally;
     Alcotest.test_case "re-acquire held lock" `Quick test_reacquire_held;
     QCheck_alcotest.to_alcotest prop_no_conflicting_holders;
+    Alcotest.test_case "waits-for union" `Quick test_waits_for_union;
+    QCheck_alcotest.to_alcotest prop_waits_for_matches_snapshot;
+    Alcotest.test_case "grant-release allocation" `Quick
+      test_grant_release_allocation;
   ]

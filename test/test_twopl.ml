@@ -132,6 +132,41 @@ let test_conversion_deadlock () =
   Alcotest.(check bool) "upgrade deadlock victimizes youngest" true
     (Cc_harness.abort_requested_for h t1)
 
+(* Minor words of the block-time deadlock search: one request blocks
+   behind a holder, enqueues and searches for a cycle through its
+   requester. Unrelated waiters queued on another page of the node must
+   not add to it: the search walks from the requester, it does not
+   snapshot the table. *)
+let blocked_request_words ~unrelated =
+  let h, cc = mk () in
+  let busy = Cc_harness.page 100 in
+  ignore (spawn_status h (fun () ->
+      cc.Cc_intf.cc_write (Cc_harness.txn h ~tid:0 ~time:0. ()) busy));
+  for i = 1 to unrelated do
+    let t = Cc_harness.txn h ~tid:i ~time:(float_of_int i) () in
+    ignore (spawn_status h (fun () -> cc.Cc_intf.cc_read t busy))
+  done;
+  let holder = Cc_harness.txn h ~tid:1000 ~time:1000. () in
+  let requester = Cc_harness.txn h ~tid:1001 ~time:1001. () in
+  let p = Cc_harness.page 1 in
+  ignore (spawn_status h (fun () -> cc.Cc_intf.cc_write holder p));
+  Cc_harness.settle h;
+  let s = spawn_status h (fun () -> cc.Cc_intf.cc_write requester p) in
+  let before = Gc.minor_words () in
+  Cc_harness.settle h;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "requester blocked" true (!s = `Waiting);
+  words
+
+let test_block_search_allocation () =
+  let small = blocked_request_words ~unrelated:10 in
+  let large = blocked_request_words ~unrelated:200 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words with 10 unrelated waiters, %.0f with 200"
+       small large)
+    true
+    (large -. small <= 8.)
+
 let suite =
   [
     Alcotest.test_case "write blocks reader until commit" `Quick
@@ -143,4 +178,6 @@ let suite =
     Alcotest.test_case "abort idempotent" `Quick test_abort_is_idempotent;
     Alcotest.test_case "prepare votes" `Quick test_prepare_votes;
     Alcotest.test_case "conversion deadlock" `Quick test_conversion_deadlock;
+    Alcotest.test_case "block-time search allocation" `Quick
+      test_block_search_allocation;
   ]
