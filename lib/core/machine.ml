@@ -20,6 +20,15 @@ open Desim
 open Ddbm_model
 open Ids
 
+(* Crash state and availability accounting of one site: windowed
+   downtime (reset with the observation windows) and the start of the
+   open down-spell, if any. *)
+type site = {
+  state : Faults.Crashable.t;
+  mutable down_since : float option;
+  mutable downtime : float;
+}
+
 (* Fault runtime, installed only when the fault plan is active
    ([Fault_plan.active]). A zero plan leaves [t.faults = None]: no
    timers, no judged messages, no extra RNG draws — the machine is
@@ -27,8 +36,7 @@ open Ids
 type fault_rt = {
   plan : Fault_plan.t;
   link : Faults.Link.t;  (** per-message loss/dup/delay judge *)
-  node_state : Faults.Crashable.t array;
-  host_state : Faults.Crashable.t;
+  sites : site array;  (** the host, then processing nodes 0 .. n-1 *)
   crash_rngs : Rng.t array;  (** per proc node, rate-driven crashes *)
   jitter_rng : Rng.t;
       (** drives the optional timeout jitter; untouched (and never drawn
@@ -53,15 +61,12 @@ type fault_rt = {
   mutable orphaned : int;
   mutable failovers : int;
       (** cohorts resurrected at their backup node after a primary crash *)
-  (* availability accounting: windowed downtime per node (reset with the
-     observation windows) plus an unwindowed total feeding the in-doubt
-     overdue grace *)
-  node_down_since : float option array;
-  mutable host_down_since : float option;
-  node_downtime : float array;
-  mutable host_downtime : float;
   mutable total_downtime : float;
+      (** unwindowed downtime over all sites; feeds the in-doubt grace *)
 }
+
+let site f = function Host -> f.sites.(0) | Proc i -> f.sites.(i + 1)
+let up f node = Faults.Crashable.up (site f node).state
 
 (* Open-loop arrival runtime, installed only when the arrival spec is
    open loop ([Arrival.open_loop]). A closed spec leaves [t.arrivals =
@@ -296,8 +301,10 @@ let create ?(histograms = true) (params : Params.t) =
         link =
           Faults.Link.create link_rng ~loss:plan.Fault_plan.msg_loss
             ~dup:plan.Fault_plan.msg_dup ~delay:plan.Fault_plan.msg_delay;
-        node_state = Array.init n (fun _ -> Faults.Crashable.create ());
-        host_state = Faults.Crashable.create ();
+        sites =
+          Array.init (n + 1) (fun _ ->
+              { state = Faults.Crashable.create (); down_since = None;
+                downtime = 0. });
         crash_rngs;
         jitter_rng;
         tear_rng;
@@ -311,10 +318,6 @@ let create ?(histograms = true) (params : Params.t) =
         node_crashes = 0;
         orphaned = 0;
         failovers = 0;
-        node_down_since = Array.make n None;
-        host_down_since = None;
-        node_downtime = Array.make n 0.;
-        host_downtime = 0.;
         total_downtime = 0.;
       }
     in
@@ -322,25 +325,17 @@ let create ?(histograms = true) (params : Params.t) =
     Net.set_judge t.net
       (Some
          (fun ~src ~dst ->
-           let down = function
-             | Host -> not (Faults.Crashable.up f.host_state)
-             | Proc i -> not (Faults.Crashable.up f.node_state.(i))
-           in
-           if down src || down dst then begin
-             f.msgs_dropped <- f.msgs_dropped + 1;
-             emit t (fun () -> Event.Msg_dropped { src; dst });
-             []
-           end
-           else
-             match Faults.Link.judge f.link with
-             | [] ->
-                 f.msgs_dropped <- f.msgs_dropped + 1;
-                 emit t (fun () -> Event.Msg_dropped { src; dst });
-                 []
-             | [ _ ] as verdict -> verdict
-             | verdict ->
-                 f.msgs_duplicated <- f.msgs_duplicated + 1;
-                 verdict))
+           match
+             if up f src && up f dst then Faults.Link.judge f.link else []
+           with
+           | [] ->
+               f.msgs_dropped <- f.msgs_dropped + 1;
+               emit t (fun () -> Event.Msg_dropped { src; dst });
+               []
+           | [ _ ] as verdict -> verdict
+           | verdict ->
+               f.msgs_duplicated <- f.msgs_duplicated + 1;
+               verdict))
   end;
   t
 
@@ -357,13 +352,11 @@ let log_decision t (txn : Txn.t) commit =
   | None -> ()
   | Some f -> Hashtbl.replace f.decisions (txn.Txn.tid, txn.Txn.attempt) commit
 
-let live_sorted t =
-  Hashtbl.fold (fun tid rt acc -> (tid, rt) :: acc) t.live []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let sorted_keys tbl =
+  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
 
-let loaded_nodes (rt : Messages.attempt_runtime) =
-  Hashtbl.fold (fun node _ acc -> node :: acc) rt.Messages.cohort_mbs []
-  |> List.sort Int.compare
+(* The live attempts in tid order. *)
+let live_attempts t = List.map (Hashtbl.find t.live) (sorted_keys t.live)
 
 let cohort_plan_of (txn : Txn.t) node =
   List.find_opt
@@ -381,58 +374,37 @@ let resident_node (rt : Messages.attempt_runtime) node =
   | Some b -> b
   | None -> node
 
-let recover_host t f =
-  if not (Faults.Crashable.up f.host_state) then begin
-    Faults.Crashable.recover f.host_state;
-    (match f.host_down_since with
-    | Some since ->
-        let d = Engine.now t.eng -. since in
-        f.host_downtime <- f.host_downtime +. d;
-        f.total_downtime <- f.total_downtime +. d;
-        f.host_down_since <- None
-    | None -> ());
-    emit t (fun () -> Event.Node_recovered { node = Host })
-  end
+(* Doom an attempt that must abort though no message may carry the
+   news; the first reason sticks. *)
+let doom (rt : Messages.attempt_runtime) reason =
+  rt.Messages.txn.Txn.doomed <- true;
+  if rt.Messages.doom_reason = None then rt.Messages.doom_reason <- Some reason
 
-(* A host crash kills every coordinator whose decision is not yet
-   logged: those attempts abort on recovery (presumed abort). Attempts
-   with a logged decision continue — the coordinator fiber surviving
-   models recovery replaying the decision log. Terminals admit no new
-   transactions while the host is down. *)
-let crash_host t f ~duration =
-  if Faults.Crashable.up f.host_state then begin
-    Faults.Crashable.crash f.host_state;
-    f.node_crashes <- f.node_crashes + 1;
-    f.host_down_since <- Some (Engine.now t.eng);
-    let until = Engine.now t.eng +. duration in
-    if until > f.host_down_until then f.host_down_until <- until;
-    emit t (fun () -> Event.Node_crashed { node = Host });
-    List.iter
-      (fun (_, (rt : Messages.attempt_runtime)) ->
-        let txn = rt.Messages.txn in
-        if decision_of f txn = None then begin
-          txn.Txn.doomed <- true;
-          if rt.Messages.doom_reason = None then
-            rt.Messages.doom_reason <- Some Txn.Crashed
-        end)
-      (live_sorted t);
-    ignore
-      (Engine.schedule_after t.eng ~delay:duration (fun () -> recover_host t f)
-        : Engine.handle)
-  end
+(* Force-clean an unreachable cohort out of band: its CC footprint at
+   [node] is released and the attempt counted as orphaned there. *)
+let orphan t f (txn : Txn.t) node =
+  (Node.cc t.procs.(node)).Cc_intf.cc_abort txn;
+  f.orphaned <- f.orphaned + 1;
+  emit t (fun () ->
+      Event.Txn_orphaned { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node })
 
-(* Coordinator-side receive: a plain blocking receive when faults are
-   off; otherwise bounded by the plan's (exponentially backed-off,
-   optionally jittered) timeout. *)
-let coord_recv t (rt : Messages.attempt_runtime) ~round =
+(* Receive on a coordinator or cohort mailbox: a plain blocking receive
+   when faults are off; otherwise bounded by the plan's (exponentially
+   backed-off, optionally jittered) timeout, whose expiry hands back the
+   fault runtime. *)
+let recv t mb ~round =
   match t.faults with
-  | None -> Some (Mailbox.recv rt.Messages.coord_mb)
-  | Some f ->
-      Mailbox.recv_timeout rt.Messages.coord_mb t.eng
-        ~timeout:
-          (Backoff.delay_jittered ~jitter:f.plan.Fault_plan.timeout_jitter
-             ~rng:f.jitter_rng ~base:f.plan.Fault_plan.timeout
-             ~cap:f.plan.Fault_plan.timeout_cap ~round)
+  | None -> `Msg (Mailbox.recv mb)
+  | Some f -> (
+      match
+        Mailbox.recv_timeout mb t.eng
+          ~timeout:
+            (Backoff.delay_jittered ~jitter:f.plan.Fault_plan.timeout_jitter
+               ~rng:f.jitter_rng ~base:f.plan.Fault_plan.timeout
+               ~cap:f.plan.Fault_plan.timeout_cap ~round)
+      with
+      | Some msg -> `Msg msg
+      | None -> `Timeout f)
 
 let note_timeout t f (txn : Txn.t) ~at_node ~round =
   f.timeouts <- f.timeouts + 1;
@@ -515,10 +487,7 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
   let durability = t.params.Params.durability in
   let usage = Messages.usage rt my_node in
   let wal = match t.wal with Some w -> Some w.(exec_node) | None -> None in
-  let is_updater =
-    cplan.Plan.apply_ops <> []
-    || List.exists (fun (op : Plan.page_op) -> op.Plan.update) cplan.Plan.ops
-  in
+  let is_updater = Plan.updates cplan in
   let wal_append record =
     match wal with
     | Some w when is_updater -> Wal.append w record
@@ -576,16 +545,6 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
   let send_coord msg =
     Net.send ~faulty:true t.net ~src:self ~dst:Host (fun () ->
         Mailbox.send rt.Messages.coord_mb msg)
-  in
-  let recv_cohort ~round =
-    match t.faults with
-    | None -> Some (Mailbox.recv mb)
-    | Some f ->
-        Mailbox.recv_timeout mb t.eng
-          ~timeout:
-            (Backoff.delay_jittered ~jitter:f.plan.Fault_plan.timeout_jitter
-               ~rng:f.jitter_rng ~base:f.plan.Fault_plan.timeout
-               ~cap:f.plan.Fault_plan.timeout_cap ~round)
   in
   (* 2PC termination protocol: ask the coordinator (if still live on
      this attempt) what was decided; otherwise answer from the host's
@@ -688,26 +647,22 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
      end);
     let my_vote = ref None in
     let rec protocol ~round =
-      match recv_cohort ~round with
-      | None -> (
-          match t.faults with
-          | None -> assert false
-          | Some f ->
-              if relocated_away () then ()
-              else begin
-                note_timeout t f txn ~at_node:self ~round;
-                f.retries <- f.retries + 1;
-                (match !my_vote with
-                | None ->
-                    (* the coordinator may have missed our Work_done *)
-                    send_coord (Messages.Work_done my_node)
-                | Some true ->
-                    (* in doubt: run the termination protocol *)
-                    send_inquiry ()
-                | Some false -> send_coord (Messages.Vote (my_node, false)));
-                protocol ~round:(round + 1)
-              end)
-      | Some Messages.Do_prepare -> (
+      match recv t mb ~round with
+      | `Timeout f ->
+          if not (relocated_away ()) then begin
+            note_timeout t f txn ~at_node:self ~round;
+            f.retries <- f.retries + 1;
+            (match !my_vote with
+            | None ->
+                (* the coordinator may have missed our Work_done *)
+                send_coord (Messages.Work_done my_node)
+            | Some true ->
+                (* in doubt: run the termination protocol *)
+                send_inquiry ()
+            | Some false -> send_coord (Messages.Vote (my_node, false)));
+            protocol ~round:(round + 1)
+          end
+      | `Msg Messages.Do_prepare -> (
           match !my_vote with
           | Some v ->
               (* retransmitted prepare: re-vote from memory; the CC
@@ -777,7 +732,7 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
               end;
               send_coord (Messages.Vote (my_node, vote));
               protocol ~round:1)
-      | Some Messages.Do_commit ->
+      | `Msg Messages.Do_commit ->
           Metrics.record_decided t.metrics ~tid ~attempt ~node:my_node;
           (* crash recovery may have already redone this cohort's
              installs from the durable log; the late Do_commit then only
@@ -815,7 +770,7 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
               Wal.mark_installed w ~tid ~attempt
           | Some _ | None -> ());
           send_coord (Messages.Done_ack my_node)
-      | Some Messages.Do_abort ->
+      | `Msg Messages.Do_abort ->
           Metrics.record_decided t.metrics ~tid ~attempt ~node:my_node;
           cc.Cc_intf.cc_abort txn;
           release ();
@@ -837,20 +792,88 @@ let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
        faults the command may be lost, so inquire on timeout (a finished
        attempt is answered from the decision log: presumed abort) *)
     let rec drain ~round =
-      match recv_cohort ~round with
-      | Some Messages.Do_abort -> ()
-      | Some (Messages.Do_prepare | Messages.Do_commit) -> drain ~round
-      | None ->
-          (match t.faults with
-          | None -> assert false
-          | Some f ->
-              note_timeout t f txn ~at_node:self ~round;
-              f.retries <- f.retries + 1;
-              send_inquiry ());
+      match recv t mb ~round with
+      | `Msg Messages.Do_abort -> ()
+      | `Msg (Messages.Do_prepare | Messages.Do_commit) -> drain ~round
+      | `Timeout f ->
+          note_timeout t f txn ~at_node:self ~round;
+          f.retries <- f.retries + 1;
+          send_inquiry ();
           drain ~round:(round + 1)
     in
     drain ~round:1;
     send_coord (Messages.Done_ack my_node)
+
+(* A processing-node crash loses volatile state, including the WAL's
+   un-forced tail. A resident cohort that has not yet voted is a
+   casualty: with primary/backup replication on, if its write-set was
+   delivered to a live backup and it is not already mid-prepare, a proxy
+   fiber at the backup takes over its commit-protocol role (failover);
+   otherwise the attempt is doomed and the cohort's CC footprint
+   force-cleaned out of band, exactly as without replication. Prepared
+   (voted) cohorts are in doubt: their durable prepare record and the
+   termination protocol finish them after repair. *)
+let lose_volatile_state t f i =
+  (match t.wal with
+  | Some wals ->
+      (* torn-tail fault: the crash not only drops the un-forced tail
+         but tears it — the tail's dependency records are clipped and
+         the next recovery must degrade to serial physical redo. One
+         draw per crash (the tear only takes effect when the dropped
+         tail is non-empty); zero draws when the mode is off, so
+         existing plans replay unchanged. *)
+      let torn =
+        f.plan.Fault_plan.torn_tail > 0.
+        && Rng.bool f.tear_rng ~p:f.plan.Fault_plan.torn_tail
+      in
+      Wal.on_crash ~torn wals.(i)
+  | None -> ());
+  let replicas = t.params.Params.durability.Params.replicas in
+  let startup = t.params.Params.resources.Params.inst_per_startup in
+  List.iter
+    (fun (rt : Messages.attempt_runtime) ->
+      let txn = rt.Messages.txn in
+      if decision_of f txn = None then
+        List.iter
+          (fun orig ->
+            if
+              Int.equal (resident_node rt orig) i
+              && not (Hashtbl.mem rt.Messages.voted_nodes orig)
+            then begin
+              let b = backup_of t orig in
+              let cplan =
+                if
+                  replicas > 0 && b <> orig
+                  && Hashtbl.mem rt.Messages.shipped_nodes orig
+                  && (not (Hashtbl.mem rt.Messages.preparing_nodes orig))
+                  && (not (Hashtbl.mem rt.Messages.relocated orig))
+                  && up f (Proc b)
+                then cohort_plan_of txn orig
+                else None
+              in
+              match cplan with
+              | Some cplan ->
+                  (* failover: route the coordinator to the backup and
+                     hand the (possibly in-flight) protocol messages to
+                     a fresh mailbox owned by the proxy *)
+                  Hashtbl.replace rt.Messages.relocated orig b;
+                  let mb = Mailbox.create () in
+                  Hashtbl.replace rt.Messages.cohort_mbs orig mb;
+                  f.failovers <- f.failovers + 1;
+                  emit t (fun () ->
+                      Event.Cohort_resurrected
+                        { tid = txn.Txn.tid; attempt = txn.Txn.attempt;
+                          node = orig; backup = b });
+                  Cpu.submit t.procs.(b).Node.cpu ~instructions:startup
+                    (fun () ->
+                      Engine.spawn t.eng (fun () ->
+                          run_cohort ~proxy:true t rt cplan mb))
+              | None ->
+                  doom rt Txn.Crashed;
+                  orphan t f txn orig
+            end)
+          (sorted_keys rt.Messages.cohort_mbs))
+    (live_attempts t)
 
 (* Crash recovery at a processing node (WAL model on), in three stages:
 
@@ -900,7 +923,7 @@ let rec spawn_recovery t f i wal =
         in
         ignore
           (Engine.schedule_after t.eng ~delay (fun () ->
-               crash_node t f i ~duration)
+               crash t f (Proc i) ~duration)
             : Engine.handle)
       end;
       Wal.scan wal;
@@ -925,7 +948,7 @@ let rec spawn_recovery t f i wal =
                 Ivar.fill got ()));
         Ivar.read got
       end;
-      if Faults.Crashable.up f.node_state.(i) then begin
+      if up f (Proc i) then begin
         let redone = ref 0 in
         let node = t.procs.(i) in
         let inst = t.params.Params.resources.Params.inst_per_update in
@@ -977,21 +1000,11 @@ let rec spawn_recovery t f i wal =
           in
           let chains = Array.of_list (Wal.redo_chains wal commit_keys) in
           let nchains = Array.length chains in
-          (* cross-check the partition on the real domain pool (pure
-             wall-clock computation, invisible to simulated time): the
-             chains must cover the commit-decided set exactly. Degrades
-             to the serial short-circuit when this simulation itself
-             runs as a pool task (sweeps, conformance harness). *)
           if nchains > 0 then begin
-            let pool_jobs =
-              if Par.Pool.inside_task () then 1
-              else Stdlib.min jobs (Par.Pool.default_jobs ())
-            in
-            let pool = Par.Pool.create ~jobs:pool_jobs () in
-            let sizes = Par.Pool.map_array pool List.length chains in
-            assert (Array.fold_left ( + ) 0 sizes = List.length commit_keys)
-          end;
-          if nchains > 0 then begin
+            (* the chains must cover the commit-decided set exactly *)
+            assert (
+              Array.fold_left (fun n c -> n + List.length c) 0 chains
+              = List.length commit_keys);
             let workers = Stdlib.min jobs nchains in
             let dones =
               Array.init workers (fun _ : unit Ivar.t -> Ivar.create ())
@@ -1008,10 +1021,10 @@ let rec spawn_recovery t f i wal =
                     let c0 = Engine.now t.eng in
                     List.iter
                       (fun (tid, attempt) ->
-                        if Faults.Crashable.up f.node_state.(i) then
+                        if up f (Proc i) then
                           replay_commit ~tid ~attempt)
                       members;
-                    if Faults.Crashable.up f.node_state.(i) then begin
+                    if up f (Proc i) then begin
                       let duration = Engine.now t.eng -. c0 in
                       t.recovery_chains <- t.recovery_chains + 1;
                       Metrics.record_chain t.metrics ~dur:duration;
@@ -1033,7 +1046,7 @@ let rec spawn_recovery t f i wal =
         let f0 = Engine.now t.eng in
         Wal.force wal;
         Metrics.record_log_force t.metrics ~dur:(Engine.now t.eng -. f0);
-        if Faults.Crashable.up f.node_state.(i) then begin
+        if up f (Proc i) then begin
           if corrupt then Wal.repair_deps wal;
           let dur = Engine.now t.eng -. t0 in
           t.recoveries <- t.recoveries + 1;
@@ -1045,107 +1058,46 @@ let rec spawn_recovery t f i wal =
         end
       end)
 
-and recover_node t f i =
-  if not (Faults.Crashable.up f.node_state.(i)) then begin
-    Faults.Crashable.recover f.node_state.(i);
-    (match f.node_down_since.(i) with
-    | Some since ->
-        let d = Engine.now t.eng -. since in
-        f.node_downtime.(i) <- f.node_downtime.(i) +. d;
-        f.total_downtime <- f.total_downtime +. d;
-        f.node_down_since.(i) <- None
-    | None -> ());
-    emit t (fun () -> Event.Node_recovered { node = Proc i });
-    match t.wal with
-    | Some wals -> spawn_recovery t f i wals.(i)
-    | None -> ()
-  end
+(* A crash of [node]: the site goes down for [duration], then comes
+   back up; a processing node with a WAL then runs crash recovery.
 
-(* A processing-node crash loses volatile state, including the WAL's
-   un-forced tail. A resident cohort that has not yet voted is a
-   casualty: with primary/backup replication on, if its write-set was
-   delivered to a live backup and it is not already mid-prepare, a proxy
-   fiber at the backup takes over its commit-protocol role (failover);
-   otherwise the attempt is doomed and the cohort's CC footprint
-   force-cleaned out of band, exactly as without replication. Prepared
-   (voted) cohorts are in doubt: their durable prepare record and the
-   termination protocol finish them after repair. *)
-and crash_node t f i ~duration =
-  if Faults.Crashable.up f.node_state.(i) then begin
-    Faults.Crashable.crash f.node_state.(i);
+   A host crash kills every coordinator whose decision is not yet
+   logged: those attempts abort on recovery (presumed abort). Attempts
+   with a logged decision continue — the coordinator fiber surviving
+   models recovery replaying the decision log. Terminals admit no new
+   transactions while the host is down. *)
+and crash t f node ~duration =
+  let s = site f node in
+  if Faults.Crashable.up s.state then begin
+    Faults.Crashable.crash s.state;
     f.node_crashes <- f.node_crashes + 1;
-    f.node_down_since.(i) <- Some (Engine.now t.eng);
-    (match t.wal with
-    | Some wals ->
-        (* torn-tail fault: the crash not only drops the un-forced tail
-           but tears it — the tail's dependency records are clipped and
-           the next recovery must degrade to serial physical redo. One
-           draw per crash (the tear only takes effect when the dropped
-           tail is non-empty); zero draws when the mode is off, so
-           existing plans replay unchanged. *)
-        let torn =
-          f.plan.Fault_plan.torn_tail > 0.
-          && Rng.bool f.tear_rng ~p:f.plan.Fault_plan.torn_tail
-        in
-        Wal.on_crash ~torn wals.(i)
-    | None -> ());
-    emit t (fun () -> Event.Node_crashed { node = Proc i });
-    let replicas = t.params.Params.durability.Params.replicas in
-    let startup = t.params.Params.resources.Params.inst_per_startup in
-    List.iter
-      (fun (_, (rt : Messages.attempt_runtime)) ->
-        let txn = rt.Messages.txn in
-        if decision_of f txn = None then
-          List.iter
-            (fun orig ->
-              if
-                Int.equal (resident_node rt orig) i
-                && not (Hashtbl.mem rt.Messages.voted_nodes orig)
-              then begin
-                let b = backup_of t orig in
-                let cplan =
-                  if
-                    replicas > 0 && b <> orig
-                    && Hashtbl.mem rt.Messages.shipped_nodes orig
-                    && (not (Hashtbl.mem rt.Messages.preparing_nodes orig))
-                    && (not (Hashtbl.mem rt.Messages.relocated orig))
-                    && Faults.Crashable.up f.node_state.(b)
-                  then cohort_plan_of txn orig
-                  else None
-                in
-                match cplan with
-                | Some cplan ->
-                    (* failover: route the coordinator to the backup and
-                       hand the (possibly in-flight) protocol messages to
-                       a fresh mailbox owned by the proxy *)
-                    Hashtbl.replace rt.Messages.relocated orig b;
-                    let mb = Mailbox.create () in
-                    Hashtbl.replace rt.Messages.cohort_mbs orig mb;
-                    f.failovers <- f.failovers + 1;
-                    emit t (fun () ->
-                        Event.Cohort_resurrected
-                          { tid = txn.Txn.tid; attempt = txn.Txn.attempt;
-                            node = orig; backup = b });
-                    Cpu.submit t.procs.(b).Node.cpu ~instructions:startup
-                      (fun () ->
-                        Engine.spawn t.eng (fun () ->
-                            run_cohort ~proxy:true t rt cplan mb))
-                | None ->
-                    txn.Txn.doomed <- true;
-                    if rt.Messages.doom_reason = None then
-                      rt.Messages.doom_reason <- Some Txn.Crashed;
-                    (Node.cc t.procs.(orig)).Cc_intf.cc_abort txn;
-                    f.orphaned <- f.orphaned + 1;
-                    emit t (fun () ->
-                        Event.Txn_orphaned
-                          { tid = txn.Txn.tid; attempt = txn.Txn.attempt;
-                            node = orig })
-              end)
-            (loaded_nodes rt))
-      (live_sorted t);
+    s.down_since <- Some (Engine.now t.eng);
+    emit t (fun () -> Event.Node_crashed { node });
+    (match node with
+    | Host ->
+        let until = Engine.now t.eng +. duration in
+        if until > f.host_down_until then f.host_down_until <- until;
+        List.iter
+          (fun (rt : Messages.attempt_runtime) ->
+            if decision_of f rt.Messages.txn = None then doom rt Txn.Crashed)
+          (live_attempts t)
+    | Proc i -> lose_volatile_state t f i);
     ignore
       (Engine.schedule_after t.eng ~delay:duration (fun () ->
-           recover_node t f i)
+           if not (Faults.Crashable.up s.state) then begin
+             Faults.Crashable.recover s.state;
+             (match s.down_since with
+             | Some since ->
+                 let d = Engine.now t.eng -. since in
+                 s.downtime <- s.downtime +. d;
+                 f.total_downtime <- f.total_downtime +. d;
+                 s.down_since <- None
+             | None -> ());
+             emit t (fun () -> Event.Node_recovered { node });
+             match (node, t.wal) with
+             | Proc i, Some wals -> spawn_recovery t f i wals.(i)
+             | Host, _ | Proc _, None -> ()
+           end)
         : Engine.handle)
   end
 
@@ -1154,9 +1106,7 @@ let schedule_faults t f =
     (fun (c : Fault_plan.crash) ->
       ignore
         (Engine.schedule t.eng ~at:c.Fault_plan.at (fun () ->
-             match c.Fault_plan.target with
-             | Host -> crash_host t f ~duration:c.Fault_plan.duration
-             | Proc i -> crash_node t f i ~duration:c.Fault_plan.duration)
+             crash t f c.Fault_plan.target ~duration:c.Fault_plan.duration)
           : Engine.handle))
     f.plan.Fault_plan.crashes;
   if f.plan.Fault_plan.crash_rate > 0. then
@@ -1168,11 +1118,11 @@ let schedule_faults t f =
           in
           ignore
             (Engine.schedule_after t.eng ~delay:gap (fun () ->
-                 if Faults.Crashable.up f.node_state.(i) then begin
+                 if up f (Proc i) then begin
                    let duration =
                      Rng.exponential rng ~mean:f.plan.Fault_plan.mean_repair
                    in
-                   crash_node t f i ~duration
+                   crash t f (Proc i) ~duration
                  end;
                  arm ())
               : Engine.handle)
@@ -1229,9 +1179,61 @@ let send_cohort t (rt : Messages.attempt_runtime) ~node_idx msg =
       | Some mb -> Mailbox.send mb msg
       | None -> ())
 
-let pending_sorted pending =
-  Hashtbl.fold (fun node () acc -> node :: acc) pending []
-  |> List.sort Int.compare
+let pending_set nodes =
+  let pending = Hashtbl.create 8 in
+  List.iter (fun n -> Hashtbl.replace pending n ()) nodes;
+  pending
+
+(* The coordinator's collect loop: wait until every node in
+   [pending] is accepted. [classify ~pending msg] sorts each message:
+   [`Accept n] takes the pending node [n] off the set and restarts the
+   timeout backoff; [`Abort r] stops the collection; [`Reprompt n] hands
+   [n] to [resend] without restarting the backoff, so a draining
+   cohort's inquiries cannot starve the timeout; [`Ignore] drops it.
+
+   On a timeout, a [doomable] collection first stops on an attempt that
+   a crash doomed. Otherwise the pending nodes that [lost] selects (all,
+   by default) are re-sent, one retry each; when it selects none, the
+   loop waits on without charging the retry budget. A [bounded]
+   collection stops with [Timed_out] once the budget is exhausted,
+   leaving the unanswered nodes in [pending]. *)
+let collect t (rt : Messages.attempt_runtime) ~classify ~resend
+    ?(lost = fun _ -> true) ~doomable ~bounded pending =
+  let txn = rt.Messages.txn in
+  let rec go ~round =
+    if Hashtbl.length pending = 0 then `Done
+    else
+      match recv t rt.Messages.coord_mb ~round with
+      | `Msg msg -> (
+          match classify ~pending msg with
+          | `Accept node ->
+              Hashtbl.remove pending node;
+              go ~round:1
+          | `Abort reason -> `Abort reason
+          | `Reprompt node ->
+              resend node;
+              go ~round
+          | `Ignore -> go ~round)
+      | `Timeout f -> (
+          note_timeout t f txn ~at_node:Host ~round;
+          match if doomable then rt.Messages.doom_reason else None with
+          | Some reason -> `Abort reason
+          | None -> (
+              match List.filter lost (sorted_keys pending) with
+              | [] -> go ~round:(round + 1)
+              | nodes ->
+                  if
+                    bounded
+                    && Backoff.exhausted
+                         ~max_retries:f.plan.Fault_plan.max_retries ~round
+                  then `Abort Txn.Timed_out
+                  else begin
+                    f.retries <- f.retries + List.length nodes;
+                    List.iter resend nodes;
+                    go ~round:(round + 1)
+                  end))
+  in
+  go ~round:1
 
 (* Wait for one Work_done per node in [nodes]; an abort trigger
    interrupts. Records the node of each Work_done as it is processed, so
@@ -1243,255 +1245,127 @@ let pending_sorted pending =
    at the capped timeout without charging its budget. *)
 let await_work t (rt : Messages.attempt_runtime) ~nodes =
   let txn = rt.Messages.txn in
-  let pending = Hashtbl.create 8 in
-  List.iter (fun n -> Hashtbl.replace pending n ()) nodes;
-  let rec go ~round =
-    if Hashtbl.length pending = 0 then `Done
-    else
-      match coord_recv t rt ~round with
-      | Some (Messages.Work_done node) ->
-          if Hashtbl.mem pending node then begin
-            Hashtbl.remove pending node;
-            rt.Messages.last_work_node <- node;
-            emit t (fun () ->
-                Event.Work_done
-                  { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node });
-            go ~round:1
-          end
-          else go ~round
-      | Some (Messages.Cohort_aborted (_, reason)) -> `Abort reason
-      | Some (Messages.Abort_request (tx, reason))
-        when Txn.same_attempt tx txn ->
+  collect t rt ~doomable:true ~bounded:true
+    ~lost:(fun n -> not (Hashtbl.mem rt.Messages.arrived_nodes n))
+    ~resend:(fun n -> Option.iter (load_cohort t rt) (cohort_plan_of txn n))
+    ~classify:(fun ~pending -> function
+      | Messages.Work_done node when Hashtbl.mem pending node ->
+          rt.Messages.last_work_node <- node;
+          emit t (fun () ->
+              Event.Work_done
+                { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node });
+          `Accept node
+      | Messages.Cohort_aborted (_, reason) -> `Abort reason
+      | Messages.Abort_request (tx, reason) when Txn.same_attempt tx txn ->
           `Abort reason
-      | Some (Messages.Inquiry _) ->
+      | Messages.Inquiry _ ->
           (* a cohort only inquires pre-prepare when its Cohort_aborted
              was lost and it is draining: treat as a peer abort *)
           `Abort Txn.Peer_abort
-      | Some (Messages.Abort_request _ | Messages.Vote _ | Messages.Done_ack _)
-        ->
-          go ~round
-      | None -> (
-          match t.faults with
-          | None -> assert false
-          | Some f -> (
-              note_timeout t f txn ~at_node:Host ~round;
-              match rt.Messages.doom_reason with
-              | Some reason -> `Abort reason
-              | None ->
-                  let missing_loads =
-                    pending_sorted pending
-                    |> List.filter (fun n ->
-                           not (Hashtbl.mem rt.Messages.arrived_nodes n))
-                  in
-                  if missing_loads = [] then go ~round:(round + 1)
-                  else if
-                    Backoff.exhausted
-                      ~max_retries:f.plan.Fault_plan.max_retries ~round
-                  then `Abort Txn.Timed_out
-                  else begin
-                    List.iter
-                      (fun n ->
-                        f.retries <- f.retries + 1;
-                        Option.iter (load_cohort t rt) (cohort_plan_of txn n))
-                      missing_loads;
-                    go ~round:(round + 1)
-                  end))
-  in
-  go ~round:1
+      | Messages.Work_done _ | Messages.Abort_request _ | Messages.Vote _
+      | Messages.Done_ack _ ->
+          `Ignore)
+    (pending_set nodes)
 
-(* Collect one Done_ack per node in [nodes]. Under faults the decision
-   is re-sent on timeout; the commit decision is logged and must reach
-   every cohort, so its retries are unbounded ([bounded:false]), while
-   the abort path gives up after the retry budget and reports the
-   unreachable cohorts for out-of-band cleanup. *)
-let await_acks t (rt : Messages.attempt_runtime) ~nodes ~decision ~bounded =
+(* Phase two: log the decision before any phase-two send, send it to
+   [nodes] and collect one Done_ack per node, re-sending it on an
+   inquiry or a timeout. A commit must reach every cohort, so its
+   retries are unbounded; an abort gives up after the retry budget.
+   Returns the nodes still unanswered. *)
+let decide t (rt : Messages.attempt_runtime) ~commit ~nodes =
   let txn = rt.Messages.txn in
-  let pending = Hashtbl.create 8 in
-  List.iter (fun n -> Hashtbl.replace pending n ()) nodes;
-  let rec go ~round =
-    if Hashtbl.length pending = 0 then `Done
-    else
-      match coord_recv t rt ~round with
-      | Some (Messages.Done_ack node) ->
-          if Hashtbl.mem pending node then begin
-            Hashtbl.remove pending node;
-            go ~round:1
-          end
-          else go ~round
-      | Some (Messages.Inquiry (_, node)) ->
-          if Hashtbl.mem pending node then
-            send_cohort t rt ~node_idx:node decision;
-          go ~round
-      | Some
-          ( Messages.Work_done _ | Messages.Cohort_aborted _ | Messages.Vote _
-          | Messages.Abort_request _ ) ->
-          go ~round
-      | None -> (
-          match t.faults with
-          | None -> assert false
-          | Some f ->
-              note_timeout t f txn ~at_node:Host ~round;
-              if
-                bounded
-                && Backoff.exhausted ~max_retries:f.plan.Fault_plan.max_retries
-                     ~round
-              then `Orphaned (pending_sorted pending)
-              else begin
-                List.iter
-                  (fun n ->
-                    f.retries <- f.retries + 1;
-                    send_cohort t rt ~node_idx:n decision)
-                  (pending_sorted pending);
-                go ~round:(round + 1)
-              end)
-  in
-  go ~round:1
+  log_decision t txn commit;
+  emit t (fun () ->
+      Event.Decision { tid = txn.Txn.tid; attempt = txn.Txn.attempt; commit });
+  let decision = if commit then Messages.Do_commit else Messages.Do_abort in
+  let send node_idx = send_cohort t rt ~node_idx decision in
+  List.iter send nodes;
+  let pending = pending_set nodes in
+  ignore
+    (collect t rt ~doomable:false ~bounded:(not commit) ~resend:send
+       ~classify:(fun ~pending -> function
+         | Messages.Done_ack node when Hashtbl.mem pending node ->
+             `Accept node
+         | Messages.Inquiry (_, node) when Hashtbl.mem pending node ->
+             `Reprompt node
+         | Messages.Done_ack _ | Messages.Inquiry _ | Messages.Work_done _
+         | Messages.Cohort_aborted _ | Messages.Vote _
+         | Messages.Abort_request _ ->
+             `Ignore)
+       pending
+      : [ `Done | `Abort of Txn.abort_reason ]);
+  sorted_keys pending
 
-(* Broadcast the abort decision, collect acknowledgements, and return
-   the abort reason. The decision is logged before any phase-two send;
-   cohorts that stay unreachable past the retry budget are force-cleaned
-   out of band (their locks released via [cc_abort]) and counted as
-   orphaned — the late inquiry they eventually make is answered from the
-   decision log. *)
+(* Abort the attempt and return the abort reason. Cohorts that stay
+   unreachable past the retry budget are orphaned — the late inquiry
+   they eventually make is answered from the decision log. *)
 let abort_attempt t (rt : Messages.attempt_runtime) reason =
   let txn = rt.Messages.txn in
   txn.Txn.phase <- Txn.Decided_abort;
   txn.Txn.doomed <- true;
-  log_decision t txn false;
-  emit t (fun () ->
-      Event.Decision
-        { tid = txn.Txn.tid; attempt = txn.Txn.attempt; commit = false });
-  let loaded = loaded_nodes rt in
-  List.iter (fun node_idx -> send_cohort t rt ~node_idx Messages.Do_abort) loaded;
-  (match await_acks t rt ~nodes:loaded ~decision:Messages.Do_abort ~bounded:true with
-  | `Done -> ()
-  | `Orphaned missing -> (
-      match t.faults with
-      | None -> ()
-      | Some f ->
-          List.iter
-            (fun n ->
-              (Node.cc t.procs.(n)).Cc_intf.cc_abort txn;
-              f.orphaned <- f.orphaned + 1;
-              emit t (fun () ->
-                  Event.Txn_orphaned
-                    { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node = n }))
-            missing));
+  let missing =
+    decide t rt ~commit:false ~nodes:(sorted_keys rt.Messages.cohort_mbs)
+  in
+  Option.iter (fun f -> List.iter (orphan t f txn) missing) t.faults;
   txn.Txn.phase <- Txn.Finished;
   reason
 
-(* The commit decision is durable before phase two begins; its delivery
-   is retried (with capped backoff) until every cohort acknowledges. *)
-let commit_attempt t (rt : Messages.attempt_runtime) =
+let commit_attempt t (rt : Messages.attempt_runtime) ~nodes =
   let txn = rt.Messages.txn in
-  let cohorts = txn.Txn.plan.Plan.cohorts in
   txn.Txn.phase <- Txn.Decided_commit;
-  log_decision t txn true;
-  emit t (fun () ->
-      Event.Decision
-        { tid = txn.Txn.tid; attempt = txn.Txn.attempt; commit = true });
-  List.iter
-    (fun (c : Plan.cohort_plan) ->
-      send_cohort t rt ~node_idx:c.Plan.node Messages.Do_commit)
-    cohorts;
-  (match
-     await_acks t rt
-       ~nodes:(List.map (fun (c : Plan.cohort_plan) -> c.Plan.node) cohorts)
-       ~decision:Messages.Do_commit ~bounded:false
-   with
-  | `Done -> ()
-  | `Orphaned _ -> assert false (* unbounded retries never orphan *));
+  ignore (decide t rt ~commit:true ~nodes : int list);
   (* durability coverage obligation: every updating cohort's node (its
      backup if failed over) must hold durable evidence of this commit at
      end of run — checked by [lost_commits] *)
-  (match t.wal with
-  | Some _ ->
-      let updaters =
-        List.filter_map
-          (fun (c : Plan.cohort_plan) ->
-            if
-              c.Plan.apply_ops <> []
-              || List.exists
-                   (fun (op : Plan.page_op) -> op.Plan.update)
-                   c.Plan.ops
-            then Some (resident_node rt c.Plan.node)
-            else None)
-          cohorts
-      in
-      t.committed_cov <-
-        (txn.Txn.tid, txn.Txn.attempt, updaters) :: t.committed_cov
-  | None -> ());
+  if Option.is_some t.wal then begin
+    let updaters =
+      List.filter_map
+        (fun (c : Plan.cohort_plan) ->
+          if Plan.updates c then Some (resident_node rt c.Plan.node) else None)
+        txn.Txn.plan.Plan.cohorts
+    in
+    t.committed_cov <-
+      (txn.Txn.tid, txn.Txn.attempt, updaters) :: t.committed_cov
+  end;
   txn.Txn.phase <- Txn.Finished
 
 let run_two_phase_commit t (rt : Messages.attempt_runtime) =
   let txn = rt.Messages.txn in
-  let cohorts = txn.Txn.plan.Plan.cohorts in
+  let nodes =
+    List.map
+      (fun (c : Plan.cohort_plan) -> c.Plan.node)
+      txn.Txn.plan.Plan.cohorts
+  in
   txn.Txn.phase <- Txn.Voting;
   txn.Txn.commit_ts <-
     Some (Timestamp.Clock.make t.clock ~time:(Engine.now t.eng));
   emit t (fun () ->
       Event.Prepare { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
-  List.iter
-    (fun (c : Plan.cohort_plan) ->
-      send_cohort t rt ~node_idx:c.Plan.node Messages.Do_prepare)
-    cohorts;
-  let pending = Hashtbl.create 8 in
-  List.iter
-    (fun (c : Plan.cohort_plan) -> Hashtbl.replace pending c.Plan.node ())
-    cohorts;
-  let rec collect_votes ~round =
-    if Hashtbl.length pending = 0 then `All_yes
-    else
-      match coord_recv t rt ~round with
-      | Some (Messages.Vote (node, yes)) ->
-          if Hashtbl.mem pending node then begin
-            Hashtbl.remove pending node;
+  let prepare node_idx = send_cohort t rt ~node_idx Messages.Do_prepare in
+  List.iter prepare nodes;
+  match
+    collect t rt ~doomable:true ~bounded:true ~resend:prepare
+      ~classify:(fun ~pending -> function
+        | Messages.Vote (node, yes) when Hashtbl.mem pending node ->
             if yes then rt.Messages.last_vote_node <- node;
             emit t (fun () ->
                 Event.Vote
                   { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node; yes });
-            if yes then collect_votes ~round:1 else `Abort Txn.Cert_failed
-          end
-          else collect_votes ~round
-      | Some (Messages.Cohort_aborted (_, reason)) -> `Abort reason
-      | Some (Messages.Abort_request (tx, reason))
-        when Txn.same_attempt tx txn ->
-          `Abort reason
-      | Some (Messages.Inquiry (_, node)) ->
-          (* an in-doubt cohort whose vote we may have missed: re-prompt
-             it (it re-votes from memory). No round reset — a draining
-             cohort's inquiries must not starve the timeout. *)
-          if Hashtbl.mem pending node then
-            send_cohort t rt ~node_idx:node Messages.Do_prepare;
-          collect_votes ~round
-      | Some
-          (Messages.Abort_request _ | Messages.Work_done _ | Messages.Done_ack _)
-        ->
-          collect_votes ~round
-      | None -> (
-          match t.faults with
-          | None -> assert false
-          | Some f -> (
-              note_timeout t f txn ~at_node:Host ~round;
-              match rt.Messages.doom_reason with
-              | Some reason -> `Abort reason
-              | None ->
-                  if
-                    Backoff.exhausted ~max_retries:f.plan.Fault_plan.max_retries
-                      ~round
-                  then `Abort Txn.Timed_out
-                  else begin
-                    List.iter
-                      (fun n ->
-                        f.retries <- f.retries + 1;
-                        send_cohort t rt ~node_idx:n Messages.Do_prepare)
-                      (pending_sorted pending);
-                    collect_votes ~round:(round + 1)
-                  end))
-  in
-  match collect_votes ~round:1 with
-  | `All_yes ->
-      commit_attempt t rt;
+            if yes then `Accept node else `Abort Txn.Cert_failed
+        | Messages.Cohort_aborted (_, reason) -> `Abort reason
+        | Messages.Abort_request (tx, reason) when Txn.same_attempt tx txn ->
+            `Abort reason
+        | Messages.Inquiry (_, node) when Hashtbl.mem pending node ->
+            (* an in-doubt cohort whose vote we may have missed: it
+               re-votes from memory *)
+            `Reprompt node
+        | Messages.Vote _ | Messages.Inquiry _ | Messages.Abort_request _
+        | Messages.Work_done _ | Messages.Done_ack _ ->
+            `Ignore)
+      (pending_set nodes)
+  with
+  | `Done ->
+      commit_attempt t rt ~nodes;
       `Committed
   | `Abort reason -> `Aborted (abort_attempt t rt reason)
 
@@ -1615,7 +1489,7 @@ let rec await_host_up t =
   match t.faults with
   | None -> ()
   | Some f ->
-      if not (Faults.Crashable.up f.host_state) then begin
+      if not (up f Host) then begin
         Engine.wait (Float.max 1e-9 (f.host_down_until -. Engine.now t.eng));
         await_host_up t
       end
@@ -1806,18 +1680,21 @@ let reset_observation_windows t =
   Option.iter
     (fun f ->
       let now = Engine.now t.eng in
-      Array.fill f.node_downtime 0 (Array.length f.node_downtime) 0.;
-      f.host_downtime <- 0.;
-      Array.iteri
-        (fun i since -> if since <> None then f.node_down_since.(i) <- Some now)
-        f.node_down_since;
-      if f.host_down_since <> None then f.host_down_since <- Some now)
+      Array.iter
+        (fun s ->
+          s.downtime <- 0.;
+          if s.down_since <> None then s.down_since <- Some now)
+        f.sites)
     t.faults
 
 let mean_over array f =
   if Array.length array = 0 then 0.
   else Array.fold_left (fun acc x -> acc +. f x) 0. array
        /. float_of_int (Array.length array)
+
+(* The length of a site's open down-spell; zero while it is up. *)
+let open_downtime t s =
+  match s.down_since with Some since -> Engine.now t.eng -. since | None -> 0.
 
 (* Fraction of node-seconds (host + proc nodes) spent up over the
    observation window. *)
@@ -1828,14 +1705,13 @@ let availability t =
       let window = Metrics.window_duration t.metrics in
       if window <= 0. then 1.
       else begin
-        let now = Engine.now t.eng in
-        let open_since = function Some s -> now -. s | None -> 0. in
-        let down = ref (f.host_downtime +. open_since f.host_down_since) in
-        Array.iteri
-          (fun i acc -> down := !down +. acc +. open_since f.node_down_since.(i))
-          f.node_downtime;
-        let nodes = float_of_int (Array.length f.node_state + 1) in
-        1. -. Float.min 1. (Float.max 0. (!down /. (nodes *. window)))
+        let down =
+          Array.fold_left
+            (fun acc s -> acc +. s.downtime +. open_downtime t s)
+            0. f.sites
+        in
+        let nodes = float_of_int (Array.length f.sites) in
+        1. -. Float.min 1. (Float.max 0. (down /. (nodes *. window)))
       end
 
 (* Grace period after which an open in-doubt interval counts as overdue
@@ -1845,11 +1721,7 @@ let availability t =
 let indoubt_grace t f =
   let p = f.plan in
   let open_downtime =
-    let now = Engine.now t.eng in
-    let open_since = function Some s -> now -. s | None -> 0. in
-    Array.fold_left
-      (fun acc s -> acc +. open_since s)
-      (open_since f.host_down_since) f.node_down_since
+    Array.fold_left (fun acc s -> acc +. open_downtime t s) 0. f.sites
   in
   (* jittered timeouts stretch each round by up to the jitter fraction *)
   Backoff.total ~base:p.Fault_plan.timeout ~cap:p.Fault_plan.timeout_cap

@@ -19,6 +19,10 @@ type t = {
   cohorts : cohort_plan list;  (** in activation order (for sequential) *)
 }
 
+(** Whether the cohort writes: it updates a primary page or installs a
+    replica copy. *)
+val updates : cohort_plan -> bool
+
 val num_cohorts : t -> int
 val total_reads : t -> int
 val total_writes : t -> int

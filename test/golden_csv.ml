@@ -1,8 +1,11 @@
 (* The configurations behind test/golden/results_tiny.csv: one
-   closed-loop 2PL run, one open-loop run past capacity, and one run with
-   crashes, torn tails, the log disk and chain-parallel recovery, so
-   every CSV column is exercised. [gen_golden] writes the file and the
-   observability suite reproduces it byte for byte. *)
+   closed-loop 2PL run, one open-loop run past capacity, one run with
+   crashes, torn tails, the log disk and chain-parallel recovery, and one
+   sequential 2PL run whose plan crashes the host as well as processing
+   nodes under message loss and duplication, so every CSV column and
+   every coordinator timeout and crash path is exercised. [gen_golden]
+   writes the file and the observability suite reproduces it byte for
+   byte. *)
 
 open Ddbm_model
 
@@ -60,6 +63,25 @@ let configs =
              "loss=0.05,crash=1@2+1,crash=2@4+0.5,torn-tail=0.5,recrash=0.3,\
               mttr=0.5,timeout=0.5,timeout-cap=2,retries=5,fault-seed=29");
     };
+    (let b =
+       base ~algorithm:Params.Twopl ~nodes:4 ~terminals:12 ~think:0. ~seed:3
+     in
+     {
+       b with
+       Params.workload =
+         { b.Params.workload with Params.exec_pattern = Params.Sequential };
+       durability =
+         {
+           Params.default_durability with
+           Params.log_disk = true;
+           replicas = 1;
+         };
+       faults =
+         ok
+           (Fault_plan.of_spec
+              "loss=0.02,dup=0.02,crash=host@4+0.5,crash=0@2.5+1,crash=2@5+1,\
+               timeout=0.5,timeout-cap=2,retries=3,fault-seed=3");
+     });
   ]
 
 (** Header plus one row per configuration, newline-terminated. *)

@@ -407,7 +407,26 @@ let test_golden_results_csv () =
     Alcotest.failf
       "results CSV diverged from golden file:@.expected:@.%s@.got:@.%s@.\
        regenerate with `dune exec test/gen_golden.exe` if intentional"
-      expected actual
+      expected actual;
+  (* the host-crash row must keep driving the coordinator's timeout,
+     orphan, failover and duplicate-delivery paths, or the golden no
+     longer covers them *)
+  match String.split_on_char '\n' (String.trim actual) with
+  | header :: rows ->
+      let host_row = List.nth rows 3 in
+      let field name =
+        let cols = String.split_on_char ',' header in
+        let vals = String.split_on_char ',' host_row in
+        int_of_string (List.assoc name (List.combine cols vals))
+      in
+      Alcotest.(check bool) "host row: node_crashes >= 3" true
+        (field "node_crashes" >= 3);
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) ("host row: " ^ name ^ " > 0") true
+            (field name > 0))
+        [ "failovers"; "orphaned"; "msgs_duplicated"; "timeouts" ]
+  | [] -> Alcotest.fail "empty results CSV"
 
 let suite =
   [
