@@ -1,18 +1,15 @@
-(* Benchmark harness.
+(* Figure driver.
 
    `main.exe` regenerates every table/figure of the paper's evaluation
    section (Figures 2-17 plus the variants described in the running text)
-   as aligned text tables, then runs Bechamel micro-benchmarks of the
-   simulator's hot data structures. See EXPERIMENTS.md for the comparison
-   against the paper. *)
+   as aligned text tables. See EXPERIMENTS.md for the comparison against
+   the paper. The simulator's cost is measured by perfbench/ and pinned
+   by the test suite's "golden cost pins". *)
 
-(* Wall-clock timing of the harness itself is the whole point here. *)
+(* The closing line reports the driver's own wall time. *)
 (* lint: allow ambient file *)
 
 open Cmdliner
-
-(* ------------------------------------------------------------------ *)
-(* Figure harness                                                      *)
 
 let wall_now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
@@ -64,867 +61,6 @@ let run_figures ~pool ~profile ~ids ~thinks ~csv_dir ~verbose =
     prefill_wall (Sys.time ()) n_runs cache.Ddbm.Experiment.hits
     (Par.Pool.jobs pool)
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of simulator substrates                   *)
-
-let micro_tests () =
-  let open Bechamel in
-  let heap_test =
-    Test.make ~name:"heap push/pop x1000"
-      (Staged.stage (fun () ->
-           let h = Desim.Heap.create ~cmp:Int.compare in
-           for i = 0 to 999 do
-             Desim.Heap.push h ((i * 7919) mod 1000)
-           done;
-           while not (Desim.Heap.is_empty h) do
-             ignore (Desim.Heap.pop h)
-           done))
-  in
-  let rng_test =
-    let rng = Desim.Rng.create 42 in
-    Test.make ~name:"rng exponential x1000"
-      (Staged.stage (fun () ->
-           for _ = 1 to 1000 do
-             ignore (Desim.Rng.exponential rng ~mean:1.0)
-           done))
-  in
-  let engine_test =
-    Test.make ~name:"engine 1000 timed events"
-      (Staged.stage (fun () ->
-           let eng = Desim.Engine.create () in
-           for i = 1 to 1000 do
-             ignore (Desim.Engine.schedule eng ~at:(float_of_int i) ignore)
-           done;
-           Desim.Engine.run eng))
-  in
-  let process_test =
-    Test.make ~name:"engine 100 process spawns+waits"
-      (Staged.stage (fun () ->
-           let eng = Desim.Engine.create () in
-           for _ = 1 to 100 do
-             Desim.Engine.spawn eng (fun () ->
-                 for _ = 1 to 10 do
-                   Desim.Engine.wait 1.0
-                 done)
-           done;
-           Desim.Engine.run eng))
-  in
-  let cpu_test =
-    Test.make ~name:"cpu 200 PS jobs"
-      (Staged.stage (fun () ->
-           let eng = Desim.Engine.create () in
-           let cpu = Desim.Cpu.create eng ~rate:1_000_000. in
-           for i = 1 to 200 do
-             Desim.Cpu.submit cpu
-               ~instructions:(float_of_int (1000 + (i * 37 mod 5000)))
-               ignore
-           done;
-           Desim.Engine.run eng))
-  in
-  let sim_test =
-    Test.make ~name:"end-to-end NO_DC mini-sim"
-      (Staged.stage (fun () ->
-           let open Ddbm_model in
-           let p = Ddbm.Experiment.params_of_config ~profile:Ddbm.Experiment.Quick
-               { Ddbm.Experiment.base_config with
-                 Ddbm.Experiment.algorithm = Params.No_dc; think = 8. } in
-           let p = { p with Params.run =
-                       { p.Params.run with Params.warmup = 2.; measure = 10. } } in
-           ignore (Ddbm.Machine.run p)))
-  in
-  [ heap_test; rng_test; engine_test; process_test; cpu_test; sim_test ]
-
-let run_micro () =
-  let open Bechamel in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true
-        ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  Printf.printf "== micro-benchmarks (Bechamel, monotonic clock) ==\n%!";
-  let tests = Test.make_grouped ~name:"desim" (micro_tests ()) in
-  let results = analyze (benchmark tests) in
-  Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, result) ->
-         match Bechamel.Analyze.OLS.estimates result with
-         | Some [ est ] -> Printf.printf "%-40s %12.1f ns/run\n" name est
-         | _ -> Printf.printf "%-40s (no estimate)\n" name);
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Observability overhead: events/sec plain vs traced vs exported      *)
-
-let run_observability ~out =
-  let open Ddbm_model in
-  let d = Params.default in
-  let params =
-    {
-      Params.database =
-        {
-          d.Params.database with
-          Params.num_proc_nodes = 8;
-          partitioning_degree = 8;
-          file_size = 120;
-        };
-      workload =
-        { d.Params.workload with Params.think_time = 1.; num_terminals = 64 };
-      resources = d.Params.resources;
-      cc = { d.Params.cc with Params.algorithm = Params.Twopl };
-      run =
-        {
-          Params.seed = 1;
-          warmup = 5.;
-          measure = 30.;
-          restart_delay_floor = 0.5;
-          fresh_restart_plan = false;
-        };
-      durability = Params.default_durability;
-      faults = Fault_plan.zero;
-      arrivals = Arrival.zero;
-    }
-  in
-  (* best of [reps] to damp scheduler noise *)
-  let measure instrument =
-    let reps = 3 in
-    let best = ref 0. in
-    let heap = ref 0 in
-    for _ = 1 to reps do
-      let m = Ddbm.Machine.create params in
-      instrument m;
-      let r = Ddbm.Machine.execute m in
-      if r.Ddbm.Sim_result.events_per_sec > !best then
-        best := r.Ddbm.Sim_result.events_per_sec;
-      heap := Stdlib.max !heap r.Ddbm.Sim_result.top_heap_words
-    done;
-    (!best, !heap)
-  in
-  let plain, plain_heap = measure (fun _ -> ()) in
-  let traced, traced_heap =
-    measure (fun m ->
-        let tracer = Ddbm.Machine.enable_events m in
-        Tracer.attach tracer (fun ~time:_ _ -> ()))
-  in
-  let exported, exported_heap =
-    measure (fun m ->
-        Ddbm.Machine.enable_sampler m ~interval:1.;
-        let tracer = Ddbm.Machine.enable_events m in
-        let buf = Buffer.create (1 lsl 20) in
-        let chrome =
-          Ddbm.Trace_export.Chrome.create ~num_nodes:8 (Buffer.add_string buf)
-        in
-        Tracer.attach tracer (Ddbm.Trace_export.Chrome.sink chrome))
-  in
-  let overhead base x = (base -. x) /. base *. 100. in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, 64 terminals, 35 s simulated\",\n\
-    \  \"events_per_sec_plain\": %.0f,\n\
-    \  \"events_per_sec_traced\": %.0f,\n\
-    \  \"events_per_sec_exported\": %.0f,\n\
-    \  \"overhead_traced_pct\": %.2f,\n\
-    \  \"overhead_exported_pct\": %.2f,\n\
-    \  \"top_heap_words_plain\": %d,\n\
-    \  \"top_heap_words_traced\": %d,\n\
-    \  \"top_heap_words_exported\": %d\n\
-     }\n"
-    plain traced exported (overhead plain traced) (overhead plain exported)
-    plain_heap traced_heap exported_heap;
-  close_out oc;
-  Printf.printf
-    "== observability overhead ==\n\
-     plain     %10.0f events/s\n\
-     traced    %10.0f events/s (%.1f%% overhead)\n\
-     exported  %10.0f events/s (%.1f%% overhead)\n\
-     written to %s\n\n\
-     %!"
-    plain traced
-    (overhead plain traced)
-    exported
-    (overhead plain exported)
-    out
-
-(* ------------------------------------------------------------------ *)
-(* Fault-machinery overhead: a zero plan must cost nothing (it installs
-   no runtime at all); an armed-but-quiet plan (runtime installed, no
-   fault ever fires) prices the timeout/judge machinery itself; a lossy
-   plan shows the real degradation and the availability/goodput metrics
-   working. *)
-
-let run_faults ~out =
-  let open Ddbm_model in
-  let d = Params.default in
-  let params faults =
-    {
-      d with
-      Params.database =
-        {
-          d.Params.database with
-          Params.num_proc_nodes = 8;
-          partitioning_degree = 8;
-          file_size = 120;
-        };
-      workload =
-        { d.Params.workload with Params.think_time = 1.; num_terminals = 64 };
-      cc = { d.Params.cc with Params.algorithm = Params.Twopl };
-      run =
-        {
-          Params.seed = 1;
-          warmup = 5.;
-          measure = 30.;
-          restart_delay_floor = 0.5;
-          fresh_restart_plan = false;
-        };
-      faults;
-    }
-  in
-  (* armed: the fault runtime (timeouts, message judge, decision log) is
-     installed, but the only scheduled fault lies far past the horizon *)
-  let armed_plan =
-    {
-      Fault_plan.zero with
-      Fault_plan.crashes =
-        [ { Fault_plan.target = Ids.Proc 0; at = 1e6; duration = 1. } ];
-      fault_seed = 1;
-    }
-  in
-  let lossy_plan =
-    {
-      Fault_plan.zero with
-      Fault_plan.msg_loss = 0.05;
-      msg_dup = 0.01;
-      msg_delay = 0.001;
-      timeout = 0.5;
-      timeout_cap = 2.;
-      max_retries = 6;
-      fault_seed = 1;
-    }
-  in
-  let measure faults =
-    let reps = 3 in
-    let best = ref 0. in
-    let last = ref None in
-    for _ = 1 to reps do
-      let r = Ddbm.Machine.run (params faults) in
-      if r.Ddbm.Sim_result.events_per_sec > !best then
-        best := r.Ddbm.Sim_result.events_per_sec;
-      last := Some r
-    done;
-    (!best, Option.get !last)
-  in
-  let off, off_r = measure Fault_plan.zero in
-  let armed, _ = measure armed_plan in
-  let lossy, lossy_r = measure lossy_plan in
-  let overhead base x = (base -. x) /. base *. 100. in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, 64 terminals, 35 s simulated\",\n\
-    \  \"events_per_sec_faults_off\": %.0f,\n\
-    \  \"events_per_sec_armed_quiet\": %.0f,\n\
-    \  \"events_per_sec_lossy\": %.0f,\n\
-    \  \"overhead_armed_pct\": %.2f,\n\
-    \  \"overhead_lossy_pct\": %.2f,\n\
-    \  \"off_throughput\": %.4f,\n\
-    \  \"lossy_throughput\": %.4f,\n\
-    \  \"lossy_goodput\": %.4f,\n\
-    \  \"lossy_availability\": %.6f,\n\
-    \  \"lossy_timeouts\": %d,\n\
-    \  \"lossy_retries\": %d,\n\
-    \  \"lossy_msgs_dropped\": %d\n\
-     }\n"
-    off armed lossy (overhead off armed) (overhead off lossy)
-    off_r.Ddbm.Sim_result.throughput lossy_r.Ddbm.Sim_result.throughput
-    lossy_r.Ddbm.Sim_result.goodput lossy_r.Ddbm.Sim_result.availability
-    lossy_r.Ddbm.Sim_result.timeouts lossy_r.Ddbm.Sim_result.retries
-    lossy_r.Ddbm.Sim_result.msgs_dropped;
-  close_out oc;
-  Printf.printf
-    "== fault-machinery overhead ==\n\
-     faults off   %10.0f events/s\n\
-     armed quiet  %10.0f events/s (%.1f%% overhead)\n\
-     lossy 5%%     %10.0f events/s (tput %.2f -> %.2f tx/s, availability \
-     %.4f)\n\
-     written to %s\n\n\
-     %!"
-    off armed
-    (overhead off armed)
-    lossy off_r.Ddbm.Sim_result.throughput lossy_r.Ddbm.Sim_result.throughput
-    lossy_r.Ddbm.Sim_result.availability out
-
-(* ------------------------------------------------------------------ *)
-(* Raw events/sec is hardware-dependent, so a pinned number would not
-   transfer between a laptop and the CI runner. Gated scenarios
-   (BENCH_parallel, BENCH_recovery) therefore pin events/sec
-   *normalized by a calibration workload* (a fixed, pure single-core
-   heap exercise measured in the same process): the ratio cancels most
-   of the machine-speed difference and moves only when the simulator's
-   own hot path moves. *)
-
-let calibration_units_per_sec () =
-  let iters = 2_000 in
-  let sink = ref 0 in
-  let t0 = wall_now () in
-  for _ = 1 to iters do
-    let h = Desim.Heap.create ~cmp:Int.compare in
-    for i = 0 to 999 do
-      Desim.Heap.push h ((i * 7919) mod 1000)
-    done;
-    while not (Desim.Heap.is_empty h) do
-      match Desim.Heap.pop h with Some v -> sink := !sink + v | None -> ()
-    done
-  done;
-  ignore (Sys.opaque_identity !sink);
-  float_of_int iters /. (wall_now () -. t0)
-
-(* Minimal scanner for the flat pin file: the float following
-   ["key": ]. No JSON library is available in this environment. *)
-let json_number ~key text =
-  let needle = Printf.sprintf "\"%s\"" key in
-  let n = String.length text and m = String.length needle in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub text i m = needle then Some (i + m)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-      let i = ref i in
-      while
-        !i < n && (text.[!i] = ':' || text.[!i] = ' ' || text.[!i] = '\n')
-      do
-        incr i
-      done;
-      let start = !i in
-      while
-        !i < n
-        && (match text.[!i] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr i
-      done;
-      if !i = start then None
-      else float_of_string_opt (String.sub text start (!i - start))
-
-(* ------------------------------------------------------------------ *)
-(* Durability & recovery: under a rate-driven crash plan with the log
-   disk on, primary/backup failover (replicas=1) must strictly beat the
-   doom-every-resident-cohort baseline (replicas=0) on goodput without
-   hurting availability, and neither run may lose a committed
-   transaction. (Availability counts node-seconds up, so under one
-   crash plan it is identical by construction; failover's gain is the
-   committed work salvaged while nodes are down.) *)
-
-let run_recovery ~out ~gate ~pin =
-  let open Ddbm_model in
-  let d = Params.default in
-  let crashy =
-    {
-      Fault_plan.zero with
-      Fault_plan.crash_rate = 0.02;
-      mean_repair = 1.5;
-      msg_loss = 0.02;
-      timeout = 0.5;
-      timeout_cap = 2.;
-      max_retries = 4;
-      fault_seed = 31;
-    }
-  in
-  let params ?(recovery_jobs = 1) ?(faults = crashy) replicas =
-    {
-      d with
-      Params.database =
-        {
-          d.Params.database with
-          Params.num_proc_nodes = 8;
-          partitioning_degree = 8;
-          file_size = 120;
-        };
-      workload =
-        { d.Params.workload with Params.think_time = 1.; num_terminals = 64 };
-      cc = { d.Params.cc with Params.algorithm = Params.Twopl };
-      run =
-        {
-          Params.seed = 1;
-          warmup = 5.;
-          measure = 30.;
-          restart_delay_floor = 0.5;
-          fresh_restart_plan = false;
-        };
-      durability =
-        {
-          Params.log_disk = true;
-          log_min_time = 0.002;
-          log_max_time = 0.006;
-          log_force = Params.At_prepare;
-          replicas;
-          recovery_jobs;
-        };
-      faults;
-    }
-  in
-  let doom = Ddbm.Machine.run (params 0) in
-  let failover = Ddbm.Machine.run (params 1) in
-  (* recovery at scale: the same crashy machine with torn tails and
-     crash-during-recovery layered on, recovered serially and with four
-     chain-parallel redo workers. Correctness must be mode-independent
-     (lost_commits = 0 both ways, run-twice determinism) and the
-     chain-parallel run's wall-clock cost is pinned normalized to the
-     calibration workload, like BENCH_parallel. *)
-  let chaos =
-    { crashy with Fault_plan.torn_tail = 0.25; recrash = 0.2; fault_seed = 47 }
-  in
-  let serial_chaos = Ddbm.Machine.run (params ~faults:chaos 1) in
-  let t0 = wall_now () in
-  let chained = Ddbm.Machine.run (params ~recovery_jobs:4 ~faults:chaos 1) in
-  let wall_chained = wall_now () -. t0 in
-  let t1 = wall_now () in
-  let chained2 = Ddbm.Machine.run (params ~recovery_jobs:4 ~faults:chaos 1) in
-  let wall_chained2 = wall_now () -. t1 in
-  let deterministic = Ddbm.Sim_result.equal chained chained2 in
-  (* best of the two (identical) runs: a scheduling hiccup in one run
-     must not read as a simulator regression *)
-  let events_per_sec =
-    float_of_int chained.Ddbm.Sim_result.sim_events
-    /. Stdlib.min wall_chained wall_chained2
-  in
-  let calib = calibration_units_per_sec () in
-  let normalized = events_per_sec /. calib in
-  let improved =
-    failover.Ddbm.Sim_result.availability >= doom.Ddbm.Sim_result.availability
-    && failover.Ddbm.Sim_result.goodput > doom.Ddbm.Sim_result.goodput
-  in
-  let line tag (r : Ddbm.Sim_result.t) =
-    Printf.sprintf
-      "  \"%s\": {\"availability\": %.6f, \"goodput\": %.4f, \"throughput\": \
-       %.4f, \"recoveries\": %d, \"mean_recovery_time\": %.4f, \"failovers\": \
-       %d, \"orphaned\": %d, \"lost_commits\": %d, \"recovery_chains\": %d, \
-       \"recovery_degraded\": %d, \"wal_torn_tails\": %d}"
-      tag r.Ddbm.Sim_result.availability r.Ddbm.Sim_result.goodput
-      r.Ddbm.Sim_result.throughput r.Ddbm.Sim_result.recoveries
-      r.Ddbm.Sim_result.mean_recovery_time r.Ddbm.Sim_result.failovers
-      r.Ddbm.Sim_result.orphaned r.Ddbm.Sim_result.lost_commits
-      r.Ddbm.Sim_result.recovery_chains r.Ddbm.Sim_result.recovery_degraded
-      r.Ddbm.Sim_result.wal_torn_tails
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, 64 terminals, log disk + rate-driven \
-     crashes, 35 s simulated\",\n\
-     %s,\n\
-     %s,\n\
-     %s,\n\
-     %s,\n\
-    \  \"failover_improves\": %b,\n\
-    \  \"chained_deterministic\": %b,\n\
-    \  \"events_per_sec\": %.0f,\n\
-    \  \"calibration_units_per_sec\": %.1f,\n\
-    \  \"normalized_events_per_calib\": %.2f\n\
-     }\n"
-    (line "replicas_0" doom)
-    (line "replicas_1" failover)
-    (line "chaos_serial" serial_chaos)
-    (line "chaos_jobs4" chained)
-    improved deterministic events_per_sec calib normalized;
-  close_out oc;
-  Printf.printf
-    "== durability & recovery ==\n\
-     replicas=0  availability %.4f, goodput %6.2f pages/s, %d recoveries, %d \
-     orphaned, %d lost\n\
-     replicas=1  availability %.4f, goodput %6.2f pages/s, %d recoveries, %d \
-     failovers, %d lost\n\
-     failover improves goodput without hurting availability: %b\n\
-     chaos serial  mttr %.4f s, %d recoveries, %d torn tails, %d degraded, %d \
-     lost\n\
-     chaos jobs=4  mttr %.4f s, %d recoveries, %d chains replayed, %d lost \
-     (normalized %.2f, deterministic %b)\n\
-     written to %s\n\n\
-     %!"
-    doom.Ddbm.Sim_result.availability doom.Ddbm.Sim_result.goodput
-    doom.Ddbm.Sim_result.recoveries doom.Ddbm.Sim_result.orphaned
-    doom.Ddbm.Sim_result.lost_commits failover.Ddbm.Sim_result.availability
-    failover.Ddbm.Sim_result.goodput failover.Ddbm.Sim_result.recoveries
-    failover.Ddbm.Sim_result.failovers failover.Ddbm.Sim_result.lost_commits
-    improved serial_chaos.Ddbm.Sim_result.mean_recovery_time
-    serial_chaos.Ddbm.Sim_result.recoveries
-    serial_chaos.Ddbm.Sim_result.wal_torn_tails
-    serial_chaos.Ddbm.Sim_result.recovery_degraded
-    serial_chaos.Ddbm.Sim_result.lost_commits
-    chained.Ddbm.Sim_result.mean_recovery_time
-    chained.Ddbm.Sim_result.recoveries chained.Ddbm.Sim_result.recovery_chains
-    chained.Ddbm.Sim_result.lost_commits normalized deterministic out;
-  if doom.Ddbm.Sim_result.lost_commits <> 0
-     || failover.Ddbm.Sim_result.lost_commits <> 0
-     || not improved
-  then begin
-    Printf.eprintf "BENCH_recovery: durability acceptance FAILED\n%!";
-    exit 1
-  end;
-  if serial_chaos.Ddbm.Sim_result.lost_commits <> 0
-     || chained.Ddbm.Sim_result.lost_commits <> 0
-  then begin
-    Printf.eprintf
-      "BENCH_recovery: chaos run lost committed transactions (serial %d, \
-       jobs=4 %d)\n\
-       %!"
-      serial_chaos.Ddbm.Sim_result.lost_commits
-      chained.Ddbm.Sim_result.lost_commits;
-    exit 1
-  end;
-  if chained.Ddbm.Sim_result.recovery_chains = 0 then begin
-    Printf.eprintf
-      "BENCH_recovery: jobs=4 chaos run replayed no chains (recovery never \
-       took the parallel path)\n\
-       %!";
-    exit 1
-  end;
-  if not deterministic then begin
-    Printf.eprintf
-      "BENCH_recovery: jobs=4 chaos run is not deterministic (run-twice \
-       results diverged)\n\
-       %!";
-    exit 1
-  end;
-  if gate then begin
-    let text =
-      try In_channel.with_open_text pin In_channel.input_all
-      with Sys_error msg ->
-        Printf.eprintf "BENCH_recovery gate: cannot read pin %s: %s\n%!" pin
-          msg;
-        exit 1
-    in
-    match json_number ~key:"normalized_events_per_calib" text with
-    | None ->
-        Printf.eprintf
-          "BENCH_recovery gate: no normalized_events_per_calib in %s\n%!" pin;
-        exit 1
-    | Some pinned ->
-        let floor = pinned *. 0.9 in
-        Printf.printf
-          "== recovery bench gate ==\n\
-           pinned normalized events/sec %.2f (floor %.2f), measured %.2f: %s\n\n\
-           %!"
-          pinned floor normalized
-          (if normalized >= floor then "PASS" else "FAIL");
-        if normalized < floor then begin
-          Printf.eprintf
-            "BENCH_recovery gate: normalized events/sec regressed >10%% \
-             (%.2f < %.2f)\n\
-             %!"
-            normalized floor;
-          exit 1
-        end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Parallel sweep scenario: wall-clock speedup over the pool, per-seed
-   bit-identity against serial execution, and an events/sec regression
-   gate against a committed pin.
-
-   The gate pins events/sec normalized by the calibration workload (see
-   above). *)
-
-let parallel_batch_params seed =
-  let open Ddbm_model in
-  let d = Params.default in
-  {
-    d with
-    Params.database =
-      {
-        d.Params.database with
-        Params.num_proc_nodes = 8;
-        partitioning_degree = 8;
-        file_size = 120;
-      };
-    workload =
-      { d.Params.workload with Params.think_time = 1.; num_terminals = 64 };
-    cc = { d.Params.cc with Params.algorithm = Params.Twopl };
-    run =
-      {
-        Params.seed;
-        warmup = 5.;
-        measure = 30.;
-        restart_delay_floor = 0.5;
-        fresh_restart_plan = false;
-      };
-  }
-
-let run_parallel ~jobs ~out ~gate ~pin =
-  let jobs =
-    match jobs with Some j -> j | None -> Par.Pool.default_jobs ()
-  in
-  let seeds = List.init 16 (fun i -> i + 1) in
-  let batch = List.map parallel_batch_params seeds in
-  let serial_pool = Par.Pool.create ~jobs:1 () in
-  let t0 = wall_now () in
-  let serial = Par.Pool.map serial_pool Ddbm.Machine.run batch in
-  let wall_serial = wall_now () -. t0 in
-  let pool = Par.Pool.create ~jobs () in
-  let t1 = wall_now () in
-  let parallel = Par.Pool.map pool Ddbm.Machine.run batch in
-  let wall_parallel = wall_now () -. t1 in
-  let bit_identical = List.for_all2 Ddbm.Sim_result.equal serial parallel in
-  let events =
-    List.fold_left (fun acc r -> acc + r.Ddbm.Sim_result.sim_events) 0 serial
-  in
-  let events_per_sec = float_of_int events /. wall_serial in
-  let calib = calibration_units_per_sec () in
-  let normalized = events_per_sec /. calib in
-  let speedup = wall_serial /. wall_parallel in
-  let cores = Par.Pool.default_jobs () in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, 64 terminals, 35 s simulated, %d seeds\",\n\
-    \  \"jobs\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"events_total\": %d,\n\
-    \  \"wall_serial_s\": %.3f,\n\
-    \  \"wall_parallel_s\": %.3f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"events_per_sec_serial\": %.0f,\n\
-    \  \"calibration_units_per_sec\": %.1f,\n\
-    \  \"normalized_events_per_calib\": %.2f,\n\
-    \  \"bit_identical\": %b\n\
-     }\n"
-    (List.length seeds) jobs cores events wall_serial wall_parallel speedup
-    events_per_sec calib normalized bit_identical;
-  close_out oc;
-  Printf.printf
-    "== parallel sweep (%d runs) ==\n\
-     serial    %8.2f s wall (%.0f events/s, normalized %.2f)\n\
-     jobs=%-3d  %8.2f s wall (speedup %.2fx on %d cores)\n\
-     per-seed results bit-identical to serial: %b\n\
-     written to %s\n\n\
-     %!"
-    (List.length seeds) wall_serial events_per_sec normalized jobs
-    wall_parallel speedup cores bit_identical out;
-  if not bit_identical then begin
-    Printf.eprintf
-      "BENCH_parallel: parallel results diverged from serial execution\n%!";
-    exit 1
-  end;
-  if gate then begin
-    let text =
-      try In_channel.with_open_text pin In_channel.input_all
-      with Sys_error msg ->
-        Printf.eprintf "BENCH_parallel gate: cannot read pin %s: %s\n%!" pin
-          msg;
-        exit 1
-    in
-    match json_number ~key:"normalized_events_per_calib" text with
-    | None ->
-        Printf.eprintf
-          "BENCH_parallel gate: no normalized_events_per_calib in %s\n%!" pin;
-        exit 1
-    | Some pinned ->
-        let floor = pinned *. 0.9 in
-        Printf.printf
-          "== bench gate ==\n\
-           pinned normalized events/sec %.2f (floor %.2f), measured %.2f: %s\n\n\
-           %!"
-          pinned floor normalized
-          (if normalized >= floor then "PASS" else "FAIL");
-        if normalized < floor then begin
-          Printf.eprintf
-            "BENCH_parallel gate: normalized events/sec regressed >10%% \
-             (%.2f < %.2f)\n\
-             %!"
-            normalized floor;
-          exit 1
-        end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Tail-latency telemetry overhead: the HDR histograms ride every
-   commit's record path (response + eight decomposition components) and
-   every 2PC decision/WAL force, so they must be close to free — the
-   gate bounds their cost at <5% events/sec vs a histogram-free but
-   otherwise identical machine. The histogram-free run must also produce
-   a bit-identical simulation (histograms are pure observers); that is
-   checked unconditionally. *)
-
-let run_metrics ~out ~gate =
-  let params = parallel_batch_params 1 in
-  let measure histograms =
-    let reps = 3 in
-    let best = ref 0. in
-    let last = ref None in
-    for _ = 1 to reps do
-      let m = Ddbm.Machine.create ~histograms params in
-      let r = Ddbm.Machine.execute m in
-      if r.Ddbm.Sim_result.events_per_sec > !best then
-        best := r.Ddbm.Sim_result.events_per_sec;
-      last := Some r
-    done;
-    (!best, Option.get !last)
-  in
-  let plain, plain_r = measure false in
-  let with_h, with_r = measure true in
-  let overhead = (plain -. with_h) /. plain *. 100. in
-  (* histograms may not perturb the simulation itself: everything except
-     the histogram-derived p99/p999 must match bit-for-bit *)
-  let same_sim =
-    Ddbm.Sim_result.equal
-      { plain_r with Ddbm.Sim_result.response_p99 = 0.; response_p999 = 0. }
-      { with_r with Ddbm.Sim_result.response_p99 = 0.; response_p999 = 0. }
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, 64 terminals, 35 s simulated\",\n\
-    \  \"events_per_sec_plain\": %.0f,\n\
-    \  \"events_per_sec_histograms\": %.0f,\n\
-    \  \"overhead_pct\": %.2f,\n\
-    \  \"simulation_bit_identical\": %b,\n\
-    \  \"response_p50\": %.6f,\n\
-    \  \"response_p95\": %.6f,\n\
-    \  \"response_p99\": %.6f,\n\
-    \  \"response_p999\": %.6f\n\
-     }\n"
-    plain with_h overhead same_sim with_r.Ddbm.Sim_result.response_p50
-    with_r.Ddbm.Sim_result.response_p95 with_r.Ddbm.Sim_result.response_p99
-    with_r.Ddbm.Sim_result.response_p999;
-  close_out oc;
-  Printf.printf
-    "== tail-latency telemetry overhead ==\n\
-     no histograms   %10.0f events/s\n\
-     histograms      %10.0f events/s (%.1f%% overhead)\n\
-     simulation bit-identical with histograms off: %b\n\
-     tail: p50 %.3f p95 %.3f p99 %.3f p999 %.3f s\n\
-     written to %s\n\n\
-     %!"
-    plain with_h overhead same_sim with_r.Ddbm.Sim_result.response_p50
-    with_r.Ddbm.Sim_result.response_p95 with_r.Ddbm.Sim_result.response_p99
-    with_r.Ddbm.Sim_result.response_p999 out;
-  if not same_sim then begin
-    Printf.eprintf
-      "BENCH_metrics: histograms perturbed the simulation outcome\n%!";
-    exit 1
-  end;
-  if gate && overhead > 5.0 then begin
-    Printf.eprintf
-      "BENCH_metrics gate: histogram overhead %.2f%% exceeds the 5%% bound\n%!"
-      overhead;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Open-loop admission-control overhead: the arrival pump, admission
-   queue and MPL limiter replace the closed-loop terminal processes, so
-   driving the same machine open loop must cost at most 5% events/sec vs
-   the closed-loop baseline. The open-loop run's admission books must
-   also balance exactly — offered = admitted + shed + expired +
-   still_queued — which is asserted unconditionally. *)
-
-let run_overload ~out ~gate =
-  let closed_params =
-    let open Ddbm_model in
-    let p = parallel_batch_params 1 in
-    (* longer than the parallel batch so the wall clock dominates any
-       fixed setup cost *)
-    { p with Params.run = { p.Params.run with Params.measure = 120. } }
-  in
-  let open_params =
-    let open Ddbm_model in
-    (* qps just under the closed loop's ~6.7 tx/s capacity, MPL near its
-       ~57 mean population: the same machine at a comparable operating
-       point, driven open loop instead of by terminals. Overloading it
-       instead would change the event mix (deadlock thrash) and measure
-       the regime, not the admission machinery. *)
-    let arrivals =
-      match Arrival.of_spec "qps=6,cap=64,mpl=56" with
-      | Ok a -> a
-      | Error msg -> failwith msg
-    in
-    {
-      closed_params with
-      Params.workload =
-        { closed_params.Params.workload with Params.think_time = 0. };
-      arrivals;
-    }
-  in
-  let measure params =
-    let reps = 3 in
-    let best = ref 0. in
-    let last = ref None in
-    for _ = 1 to reps do
-      let m = Ddbm.Machine.create params in
-      let r = Ddbm.Machine.execute m in
-      if r.Ddbm.Sim_result.events_per_sec > !best then
-        best := r.Ddbm.Sim_result.events_per_sec;
-      last := Some r
-    done;
-    (!best, Option.get !last)
-  in
-  let closed, closed_r = measure closed_params in
-  let opened, open_r = measure open_params in
-  let overhead = (closed -. opened) /. closed *. 100. in
-  let offered = open_r.Ddbm.Sim_result.offered
-  and admitted = open_r.Ddbm.Sim_result.admitted
-  and shed = open_r.Ddbm.Sim_result.shed
-  and expired = open_r.Ddbm.Sim_result.expired
-  and still_queued = open_r.Ddbm.Sim_result.still_queued in
-  let conserved = offered = admitted + shed + expired + still_queued in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"config\": \"2pl, 8 nodes, qps=6 cap=64 mpl=56 vs 64 closed \
-     terminals, 125 s simulated\",\n\
-    \  \"events_per_sec_closed\": %.0f,\n\
-    \  \"events_per_sec_open\": %.0f,\n\
-    \  \"overhead_pct\": %.2f,\n\
-    \  \"offered\": %d,\n\
-    \  \"admitted\": %d,\n\
-    \  \"shed\": %d,\n\
-    \  \"expired\": %d,\n\
-    \  \"still_queued\": %d,\n\
-    \  \"conservation_holds\": %b,\n\
-    \  \"queue_depth_max\": %d,\n\
-    \  \"closed_overload_counters_zero\": %b\n\
-     }\n"
-    closed opened overhead offered admitted shed expired still_queued conserved
-    open_r.Ddbm.Sim_result.queue_depth_max
-    (closed_r.Ddbm.Sim_result.offered = 0
-    && closed_r.Ddbm.Sim_result.queue_depth_max = 0);
-  close_out oc;
-  Printf.printf
-    "== open-loop admission overhead ==\n\
-     closed loop     %10.0f events/s\n\
-     open loop       %10.0f events/s (%.1f%% overhead)\n\
-     admission books: %d offered = %d admitted + %d shed + %d expired + %d \
-     queued (%s)\n\
-     written to %s\n\n\
-     %!"
-    closed opened overhead offered admitted shed expired still_queued
-    (if conserved then "balanced" else "VIOLATED")
-    out;
-  if not conserved then begin
-    Printf.eprintf "BENCH_overload: admission conservation violated\n%!";
-    exit 1
-  end;
-  if gate && overhead > 5.0 then begin
-    Printf.eprintf
-      "BENCH_overload gate: open-loop overhead %.2f%% exceeds the 5%% bound\n%!"
-      overhead;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-
 let profile_conv =
   let parse s =
     match Ddbm.Experiment.profile_of_string s with
@@ -956,121 +92,18 @@ let main =
     Arg.(
       value & opt (some string) None
       & info [ "csv-dir" ] ~docv:"DIR" ~doc:"Also write each figure as CSV.")
-  and+ skip_micro =
-    Arg.(value & flag & info [ "no-micro" ] ~doc:"Skip micro-benchmarks.")
-  and+ skip_figs =
-    Arg.(value & flag & info [ "no-figs" ] ~doc:"Skip figure reproduction.")
-  and+ skip_obs =
-    Arg.(
-      value & flag
-      & info [ "no-obs" ] ~doc:"Skip the observability overhead benchmark.")
-  and+ obs_out =
-    Arg.(
-      value
-      & opt string "BENCH_observability.json"
-      & info [ "obs-out" ] ~docv:"FILE"
-          ~doc:"Where to write the observability overhead report.")
-  and+ skip_faults =
-    Arg.(
-      value & flag
-      & info [ "no-faults" ] ~doc:"Skip the fault-machinery overhead benchmark.")
-  and+ faults_out =
-    Arg.(
-      value
-      & opt string "BENCH_faults.json"
-      & info [ "faults-out" ] ~docv:"FILE"
-          ~doc:"Where to write the fault-machinery overhead report.")
-  and+ skip_recovery =
-    Arg.(
-      value & flag
-      & info [ "no-recovery" ]
-          ~doc:"Skip the durability & recovery benchmark.")
-  and+ recovery_out =
-    Arg.(
-      value
-      & opt string "BENCH_recovery.json"
-      & info [ "recovery-out" ] ~docv:"FILE"
-          ~doc:"Where to write the durability & recovery report.")
-  and+ skip_parallel =
-    Arg.(
-      value & flag
-      & info [ "no-parallel" ]
-          ~doc:"Skip the parallel sweep speedup/bit-identity benchmark.")
-  and+ parallel_out =
-    Arg.(
-      value
-      & opt string "BENCH_parallel.json"
-      & info [ "parallel-out" ] ~docv:"FILE"
-          ~doc:"Where to write the parallel sweep report.")
-  and+ skip_metrics =
-    Arg.(
-      value & flag
-      & info [ "no-metrics" ]
-          ~doc:"Skip the tail-latency telemetry overhead benchmark.")
-  and+ metrics_out =
-    Arg.(
-      value
-      & opt string "BENCH_metrics.json"
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Where to write the tail-latency telemetry overhead report.")
-  and+ skip_overload =
-    Arg.(
-      value & flag
-      & info [ "no-overload" ]
-          ~doc:"Skip the open-loop admission overhead benchmark.")
-  and+ overload_out =
-    Arg.(
-      value
-      & opt string "BENCH_overload.json"
-      & info [ "overload-out" ] ~docv:"FILE"
-          ~doc:"Where to write the open-loop admission overhead report.")
-  and+ gate =
-    Arg.(
-      value & flag
-      & info [ "gate" ]
-          ~doc:
-            "Fail (exit 1) when the parallel or recovery benchmark's \
-             normalized events/sec regresses more than 10% below its \
-             committed pin, or when the metrics benchmark's histogram \
-             overhead or the overload benchmark's open-loop overhead \
-             exceeds 5% events/sec.")
-  and+ pin =
-    Arg.(
-      value
-      & opt string "bench/BENCH_parallel.pin.json"
-      & info [ "pin" ] ~docv:"FILE"
-          ~doc:"Committed pin the --gate compares against.")
-  and+ recovery_pin =
-    Arg.(
-      value
-      & opt string "bench/BENCH_recovery.pin.json"
-      & info [ "recovery-pin" ] ~docv:"FILE"
-          ~doc:
-            "Committed pin the --gate compares the recovery benchmark's \
-             normalized events/sec against.")
   and+ jobs =
     Arg.(
       value
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the figure suite and the parallel \
-             benchmark (default: the number of cores).")
+          ~doc:"Worker domains for the figure suite (default: the number of \
+                 cores).")
   and+ verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log each run.")
   in
-  if not skip_figs then begin
-    let pool = Par.Pool.create ?jobs () in
-    run_figures ~pool ~profile ~ids ~thinks ~csv_dir ~verbose
-  end;
-  if not skip_micro then run_micro ();
-  if not skip_obs then run_observability ~out:obs_out;
-  if not skip_faults then run_faults ~out:faults_out;
-  if not skip_recovery then
-    run_recovery ~out:recovery_out ~gate ~pin:recovery_pin;
-  if not skip_metrics then run_metrics ~out:metrics_out ~gate;
-  if not skip_overload then run_overload ~out:overload_out ~gate;
-  if not skip_parallel then run_parallel ~jobs ~out:parallel_out ~gate ~pin
+  run_figures ~pool:(Par.Pool.create ?jobs ()) ~profile ~ids ~thinks ~csv_dir
+    ~verbose
 
 let () =
   exit

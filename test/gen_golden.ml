@@ -2,10 +2,12 @@
 
      dune exec test/gen_golden.exe
 
-   writes test/golden/trace_tiny.json and test/golden/results_tiny.csv
-   (run from the repo root). The trace run parameters here MUST match
-   [Test_observability.golden_params]; the CSV configurations live in
-   [Golden_csv]. *)
+   writes test/golden/trace_tiny.json, test/golden/results_tiny.csv and
+   test/golden/cost_pins.csv (run from the repo root, in the default dev
+   profile: the cost pins count minor words, which the profile changes).
+   The trace run parameters here MUST match
+   [Test_observability.golden_params]; the CSV and cost configurations
+   live in [Golden_csv]. *)
 
 open Ddbm_model
 
@@ -56,4 +58,5 @@ let () =
   ignore (Ddbm.Machine.execute m : Ddbm.Sim_result.t);
   Ddbm.Trace_export.Chrome.close chrome;
   write "test/golden/trace_tiny.json" (Buffer.contents buf);
-  write "test/golden/results_tiny.csv" (Golden_csv.render ())
+  write "test/golden/results_tiny.csv" (Golden_csv.render ());
+  write "test/golden/cost_pins.csv" (Golden_csv.render_cost_pins ())

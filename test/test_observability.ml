@@ -428,6 +428,66 @@ let test_golden_results_csv () =
         [ "failovers"; "orphaned"; "msgs_duplicated"; "timeouts" ]
   | [] -> Alcotest.fail "empty results CSV"
 
+(* Deterministic cost gate. Event, commit and message counts must match
+   the pins exactly; minor words per event must stay within 1 % either
+   way, so a saving also fails until the pins are regenerated and the
+   bound never goes slack. *)
+let test_golden_cost_pins () =
+  let path =
+    if Sys.file_exists "golden/cost_pins.csv" then "golden/cost_pins.csv"
+    else "test/golden/cost_pins.csv"
+  in
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let pins =
+    match lines with
+    | header :: rows when String.equal header Golden_csv.cost_header ->
+        List.map
+          (fun row ->
+            match String.split_on_char ',' row with
+            | [ name; events; commits; messages; words ] ->
+                ( name,
+                  {
+                    Golden_csv.sim_events = int_of_string events;
+                    commits = int_of_string commits;
+                    messages = int_of_string messages;
+                    words_per_event = float_of_string words;
+                  } )
+            | _ -> Alcotest.failf "%s: malformed row %S" path row)
+          rows
+    | _ -> Alcotest.failf "%s: missing header %S" path Golden_csv.cost_header
+  in
+  let errors =
+    List.filter_map
+      (fun (c : Golden_csv.cost_config) ->
+        match List.assoc_opt c.name pins with
+        | None -> Some (Printf.sprintf "%s: no pin" c.name)
+        | Some pin ->
+            let got = Golden_csv.cost c in
+            let drift = (got.words_per_event /. pin.words_per_event) -. 1. in
+            if
+              got.sim_events <> pin.sim_events
+              || got.commits <> pin.commits
+              || got.messages <> pin.messages
+              || Float.abs drift > 0.01
+            then
+              Some
+                (Printf.sprintf "pinned %s, got %s (%+.2f %% words/event)"
+                   (Golden_csv.cost_row c.name pin)
+                   (Golden_csv.cost_row c.name got)
+                   (100. *. drift))
+            else None)
+      Golden_csv.cost_configs
+  in
+  if errors <> [] then
+    Alcotest.failf
+      "cost pins diverged:@.%s@.regenerate with `dune exec \
+       test/gen_golden.exe` if intentional"
+      (String.concat "\n" errors)
+
 let suite =
   [
     Alcotest.test_case "per-transaction conservation" `Slow test_conservation;
@@ -445,4 +505,5 @@ let suite =
       test_exporters_emit_valid_json;
     Alcotest.test_case "golden chrome trace" `Slow test_golden_chrome_trace;
     Alcotest.test_case "golden results csv" `Slow test_golden_results_csv;
+    Alcotest.test_case "golden cost pins" `Slow test_golden_cost_pins;
   ]

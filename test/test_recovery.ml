@@ -300,7 +300,12 @@ let test_failover_beats_doom_baseline () =
     (Printf.sprintf "goodput improves (%.2f -> %.2f)"
        r0.Ddbm.Sim_result.goodput r1.Ddbm.Sim_result.goodput)
     true
-    (r1.Ddbm.Sim_result.goodput > r0.Ddbm.Sim_result.goodput)
+    (r1.Ddbm.Sim_result.goodput > r0.Ddbm.Sim_result.goodput);
+  Alcotest.(check bool)
+    (Printf.sprintf "availability does not drop (%.4f -> %.4f)"
+       r0.Ddbm.Sim_result.availability r1.Ddbm.Sim_result.availability)
+    true
+    (r1.Ddbm.Sim_result.availability >= r0.Ddbm.Sim_result.availability)
 
 (* Jittered timeouts de-synchronize retries; the run stays conforming
    and deterministic, and jitter 0 remains bit-identical to the
