@@ -1,11 +1,14 @@
 (* The configurations behind test/golden/results_tiny.csv: one
    closed-loop 2PL run, one open-loop run past capacity, one run with
-   crashes, torn tails, the log disk and chain-parallel recovery, and one
+   crashes, torn tails, the log disk and chain-parallel recovery, one
    sequential 2PL run whose plan crashes the host as well as processing
    nodes under message loss and duplication, so every CSV column and
-   every coordinator timeout and crash path is exercised. [gen_golden]
-   writes the file and the observability suite reproduces it byte for
-   byte. *)
+   every coordinator timeout and crash path is exercised, and two runs
+   with every file stored twice: parallel 2PL, which write-locks remote
+   copies at access time by replica RPCs, and sequential O2PL, which
+   defers them to prepare and so drives update-only cohorts.
+   [gen_golden] writes the file and the observability suite reproduces
+   it byte for byte. *)
 
 open Ddbm_model
 
@@ -84,6 +87,15 @@ let configs =
                timeout=0.5,timeout-cap=2,retries=3,fault-seed=3");
      });
   ]
+  @ List.map
+      (fun (algorithm, exec_pattern) ->
+        let b = base ~algorithm ~nodes:4 ~terminals:12 ~think:0. ~seed:3 () in
+        {
+          b with
+          Params.database = { b.Params.database with Params.replication = 2 };
+          workload = { b.Params.workload with Params.exec_pattern };
+        })
+      [ (Params.Twopl, Params.Parallel); (Params.O2pl, Params.Sequential) ]
 
 (** Header plus one row per configuration, newline-terminated. *)
 let render () =
