@@ -1,142 +1,16 @@
-(** Assembly of the distributed database machine and the transaction
-    execution protocol (Sections 2.1 and 3 of the paper).
-
-    One host node (terminals + coordinators) and [num_proc_nodes]
-    processing nodes (data + cohorts). A transaction's coordinator runs in
-    its terminal's process at the host; cohorts are spawned at data nodes
-    by "load cohort" messages (paying process-startup CPU), execute their
-    page accesses, and participate in a centralized two-phase commit:
-
-      load -> work -> Work_done -> Do_prepare -> Vote -> decision -> ack
-
-    Aborts can be triggered by a cohort's own CC manager (BTO rejection),
-    by a remote CC manager or the Snoop detector (wound, deadlock victim;
-    routed as an Abort_request message to the coordinator), or by a
-    certification "no" vote. The coordinator then broadcasts Do_abort,
-    collects one acknowledgement per loaded cohort, waits one mean
-    response time, and reruns the same access plan. *)
+(** Assembly and execution of the distributed database machine
+    (Sections 2.1 and 3 of the paper): one host node (terminals +
+    coordinators) and [num_proc_nodes] processing nodes (data + cohorts),
+    wired to the protocol roles {!Admission}, {!Coordinator}, {!Cohort}
+    and {!Recovery}, which share the {!Runtime} record; plus result
+    collection and the observers. *)
 
 open Desim
 open Ddbm_model
 open Ids
+open Runtime
 
-(* Crash state and availability accounting of one site: windowed
-   downtime (reset with the observation windows) and the start of the
-   open down-spell, if any. *)
-type site = {
-  state : Faults.Crashable.t;
-  mutable down_since : float option;
-  mutable downtime : float;
-}
-
-(* Fault runtime, installed only when the fault plan is active
-   ([Fault_plan.active]). A zero plan leaves [t.faults = None]: no
-   timers, no judged messages, no extra RNG draws — the machine is
-   bit-for-bit identical to a fault-free build. *)
-type fault_rt = {
-  plan : Fault_plan.t;
-  link : Faults.Link.t;  (** per-message loss/dup/delay judge *)
-  sites : site array;  (** the host, then processing nodes 0 .. n-1 *)
-  crash_rngs : Rng.t array;  (** per proc node, rate-driven crashes *)
-  jitter_rng : Rng.t;
-      (** drives the optional timeout jitter; untouched (and never drawn
-          from) when the plan's [timeout_jitter] is zero *)
-  tear_rng : Rng.t;
-      (** one draw per WAL-tearing opportunity (a crash dropping a
-          non-empty volatile tail); untouched when [torn_tail] is zero *)
-  recrash_rng : Rng.t;
-      (** one draw per recovery start (plus the re-crash schedule when it
-          hits); untouched when [recrash] is zero *)
-  decisions : (int * int, bool) Hashtbl.t;
-      (** 2PC decision log, (tid, attempt) -> commit; written before any
-          phase-two message is sent and kept for the whole run so the
-          termination protocol can answer late inquiries *)
-  mutable host_down_until : float;
-      (** latest scheduled host recovery; gates terminal admission *)
-  mutable timeouts : int;
-  mutable retries : int;
-  mutable msgs_dropped : int;
-  mutable msgs_duplicated : int;
-  mutable node_crashes : int;
-  mutable orphaned : int;
-  mutable failovers : int;
-      (** cohorts resurrected at their backup node after a primary crash *)
-  mutable total_downtime : float;
-      (** unwindowed downtime over all sites; feeds the in-doubt grace *)
-}
-
-let site f = function Host -> f.sites.(0) | Proc i -> f.sites.(i + 1)
-let up f node = Faults.Crashable.up (site f node).state
-
-(* Open-loop arrival runtime, installed only when the arrival spec is
-   open loop ([Arrival.open_loop]). A closed spec leaves [t.arrivals =
-   None]: no pump fiber, no admission queue, no extra RNG split — the
-   machine is bit-for-bit identical to a closed-loop build. *)
-type pending = {
-  seq : int;  (** arrival number; selects the workload terminal stream *)
-  enqueued_at : float;
-  pending_plan : Plan.t;
-}
-
-type arrival_rt = {
-  spec : Arrival.t;
-  arr_rng : Rng.t;
-      (** dedicated inter-arrival stream (thinning draws included) *)
-  queue : pending Queue.t;  (** bounded FIFO admission queue *)
-  mutable in_flight : int;
-      (** dispatched and not yet committed; gates the MPL limiter *)
-  mutable next_seq : int;
-}
-
-type t = {
-  eng : Engine.t;
-  params : Params.t;
-  clock : Timestamp.Clock.t;
-  host : Node.t;
-  procs : Node.t array;
-  net : Net.t;
-  metrics : Metrics.t;
-  catalog : Catalog.t;
-  workload : Workload.t;
-  live : (int, Messages.attempt_runtime) Hashtbl.t;
-  think_rng : Rng.t;
-  wal : Wal.t array option;
-      (** one write-ahead log per processing node when the durability
-          model is on ([durability.log_disk]); [None] otherwise — the
-          zero-config machine pays nothing *)
-  mutable next_tid : int;
-  mutable recoveries : int;  (** completed crash-recovery passes *)
-  mutable recovery_time : float;  (** summed recovery durations *)
-  mutable recovery_chains : int;
-      (** dependency chains replayed by chain-parallel recovery *)
-  mutable recovery_degraded : int;
-      (** chain-parallel passes degraded to serial physical redo because
-          a torn tail clipped the dependency records *)
-  mutable committed_cov : (int * int * int list) list;
-      (** durability coverage obligations, newest first: (tid, attempt,
-          updating-cohort nodes after failover relocation) of every fully
-          committed transaction; checked against the WALs at end of run
-          ([lost_commits] must be 0) *)
-  arrivals : arrival_rt option;
-  mutable faults : fault_rt option;
-  mutable snoop : Ddbm_cc.Snoop.t option;
-  mutable audit : Audit.t option;
-  mutable events : Tracer.t option;  (** typed lifecycle events *)
-  mutable result : Sim_result.t option;
-      (** the collected result, once {!execute} has returned *)
-}
-
-(* Typed event emission: zero cost unless a tracer is attached — the
-   event value is only constructed when [t.events] is [Some _]. *)
-let emit t make =
-  match t.events with
-  | None -> ()
-  | Some tr -> Tracer.emit tr ~time:(Engine.now t.eng) (make ())
-
-type attempt_outcome = Committed of Decomp.t | Aborted of Txn.abort_reason
-
-(* ------------------------------------------------------------------ *)
-(* Assembly                                                            *)
+type t = Runtime.t
 
 let request_abort t ~from_node (txn : Txn.t) reason =
   (* Wounds (and any other abort demand) are ignored once the transaction
@@ -339,1332 +213,6 @@ let create ?(histograms = true) (params : Params.t) =
   end;
   t
 
-(* ------------------------------------------------------------------ *)
-(* Crashes and recoveries                                              *)
-
-(* A decision in the log means phase two has begun: the attempt's
-   outcome is durable and survives any crash. *)
-let decision_of f (txn : Txn.t) =
-  Hashtbl.find_opt f.decisions (txn.Txn.tid, txn.Txn.attempt)
-
-let log_decision t (txn : Txn.t) commit =
-  match t.faults with
-  | None -> ()
-  | Some f -> Hashtbl.replace f.decisions (txn.Txn.tid, txn.Txn.attempt) commit
-
-let sorted_keys tbl =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
-
-(* The live attempts in tid order. *)
-let live_attempts t = List.map (Hashtbl.find t.live) (sorted_keys t.live)
-
-let cohort_plan_of (txn : Txn.t) node =
-  List.find_opt
-    (fun (c : Plan.cohort_plan) -> c.Plan.node = node)
-    txn.Txn.plan.Plan.cohorts
-
-(* Primary/backup replication: each processing node's backup is its ring
-   successor. *)
-let backup_of t i = (i + 1) mod Array.length t.procs
-
-(* Where the cohort originally planned at [node] now runs: its backup
-   after a failover, [node] itself otherwise. *)
-let resident_node (rt : Messages.attempt_runtime) node =
-  match Hashtbl.find_opt rt.Messages.relocated node with
-  | Some b -> b
-  | None -> node
-
-(* Doom an attempt that must abort though no message may carry the
-   news; the first reason sticks. *)
-let doom (rt : Messages.attempt_runtime) reason =
-  rt.Messages.txn.Txn.doomed <- true;
-  if rt.Messages.doom_reason = None then rt.Messages.doom_reason <- Some reason
-
-(* Force-clean an unreachable cohort out of band: its CC footprint at
-   [node] is released and the attempt counted as orphaned there. *)
-let orphan t f (txn : Txn.t) node =
-  (Node.cc t.procs.(node)).Cc_intf.cc_abort txn;
-  f.orphaned <- f.orphaned + 1;
-  emit t (fun () ->
-      Event.Txn_orphaned { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node })
-
-(* Receive on a coordinator or cohort mailbox: a plain blocking receive
-   when faults are off; otherwise bounded by the plan's (exponentially
-   backed-off, optionally jittered) timeout, whose expiry hands back the
-   fault runtime. *)
-let recv t mb ~round =
-  match t.faults with
-  | None -> `Msg (Mailbox.recv mb)
-  | Some f -> (
-      match
-        Mailbox.recv_timeout mb t.eng
-          ~timeout:
-            (Backoff.delay_jittered ~jitter:f.plan.Fault_plan.timeout_jitter
-               ~rng:f.jitter_rng ~base:f.plan.Fault_plan.timeout
-               ~cap:f.plan.Fault_plan.timeout_cap ~round)
-      with
-      | Some msg -> `Msg msg
-      | None -> `Timeout f)
-
-let note_timeout t f (txn : Txn.t) ~at_node ~round =
-  f.timeouts <- f.timeouts + 1;
-  emit t (fun () ->
-      Event.Timeout_fired
-        { tid = txn.Txn.tid; attempt = txn.Txn.attempt; at_node; round })
-
-(* ------------------------------------------------------------------ *)
-(* Cohort process                                                      *)
-
-let check_doomed (txn : Txn.t) =
-  if txn.Txn.doomed then raise (Txn.Aborted Txn.Peer_abort)
-
-(* Whether replica copies are write-locked at access time (read-one/
-   write-all during execution) or only during the first phase of commit
-   (O2PL and the certification/deferred schemes, whose remote write
-   intent piggybacks on the prepare message). *)
-let write_all_at_access = function
-  | Params.No_dc | Params.Twopl | Params.Wound_wait | Params.Wait_die
-  | Params.Bto ->
-      true
-  | Params.Opt | Params.O2pl | Params.Twopl_defer -> false
-
-(* Synchronously obtain write permission on every remote copy of [page]:
-   one request message per copy site, a helper process that may block in
-   the remote CC manager, and one reply message. Any rejection aborts the
-   requester. *)
-let acquire_replica_writes t (txn : Txn.t) ~from_node page =
-  let copies =
-    Catalog.copy_nodes t.catalog ~file:page.Ids.Page.file
-    |> List.filter (fun site -> site <> from_node)
-  in
-  if copies <> [] then begin
-    let pending = ref (List.length copies) in
-    let failure = ref None in
-    let all_in : unit Ivar.t = Ivar.create () in
-    List.iter
-      (fun site ->
-        Net.send t.net ~src:(Proc from_node) ~dst:(Proc site) (fun () ->
-            Engine.spawn t.eng (fun () ->
-                let outcome =
-                  try
-                    (Node.cc t.procs.(site)).Cc_intf.cc_write txn page;
-                    `Granted
-                  with Txn.Aborted reason -> `Failed reason
-                in
-                Net.send t.net ~src:(Proc site) ~dst:(Proc from_node)
-                  (fun () ->
-                    (match outcome with
-                    | `Failed reason when !failure = None ->
-                        failure := Some reason
-                    | `Failed _ | `Granted -> ());
-                    decr pending;
-                    if !pending = 0 then Ivar.fill all_in ()))))
-      copies;
-    Ivar.read all_in;
-    match !failure with
-    | Some reason -> raise (Txn.Aborted reason)
-    | None -> ()
-  end
-
-(* [proxy] runs the cohort's commit-protocol role at its backup node
-   after a primary crash: the work-phase resources were already spent at
-   the primary, the CC footprint stays at the primary's manager
-   (modeling dependency-logged lock state shipped with the write-set),
-   and logging/installs happen at the backup. Protocol messages still
-   carry the original node id, so the coordinator is oblivious to the
-   relocation beyond its routing table. *)
-let run_cohort ?(proxy = false) t (rt : Messages.attempt_runtime)
-    (cplan : Plan.cohort_plan) mb =
-  let txn = rt.Messages.txn in
-  let tid = txn.Txn.tid in
-  let attempt = txn.Txn.attempt in
-  let my_node = cplan.Plan.node in
-  let exec_node = if proxy then backup_of t my_node else my_node in
-  let node = t.procs.(exec_node) in
-  let cc = Node.cc t.procs.(my_node) in
-  let self = Proc exec_node in
-  let resources = t.params.Params.resources in
-  let durability = t.params.Params.durability in
-  let usage = Messages.usage rt my_node in
-  let wal = match t.wal with Some w -> Some w.(exec_node) | None -> None in
-  let is_updater = Plan.updates cplan in
-  let wal_append record =
-    match wal with
-    | Some w when is_updater -> Wal.append w record
-    | Some _ | None -> ()
-  in
-  (* Log forces: blocking FCFS writes on this node's log disk. A prepare
-     force gates the cohort's yes vote and accrues to the decomposition's
-     [log] component (via the decision-gating cohort); a commit force
-     happens after the decision and only shows in log-disk utilization. *)
-  let wal_force ~accrue w =
-    let t0 = Engine.now t.eng in
-    Wal.force w;
-    let dur = Engine.now t.eng -. t0 in
-    if accrue then usage.Messages.u_log <- usage.Messages.u_log +. dur;
-    Metrics.record_log_force t.metrics ~dur;
-    emit t (fun () ->
-        Event.Log_forced { tid; attempt; node = my_node; dur })
-  in
-  (* The primary's fiber exits silently once a backup proxy has taken
-     over: no sends, no [cc_abort] — the footprint now belongs to the
-     proxy. Only ever true when [proxy] is false. *)
-  let relocated_away () =
-    (not proxy) && Hashtbl.mem rt.Messages.relocated my_node
-  in
-  (* Timed CC access: the wall time from request to grant (lock waits,
-     conversion waits, CC request processing) accrues to the work-phase
-     usage record feeding the response-time decomposition. [work:false]
-     marks commit-protocol acquisitions, which belong to the 2PC
-     component instead. *)
-  let cc_access ?(work = true) mode page =
-    emit t (fun () ->
-        Event.Lock_request
-          { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node = my_node;
-            page; mode });
-    let t0 = Engine.now t.eng in
-    (match mode with
-    | Event.Read -> cc.Cc_intf.cc_read txn page
-    | Event.Write -> cc.Cc_intf.cc_write txn page);
-    let waited = Engine.now t.eng -. t0 in
-    if work then
-      usage.Messages.u_blocked <- usage.Messages.u_blocked +. waited;
-    emit t (fun () ->
-        Event.Lock_grant
-          { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node = my_node;
-            page; mode; waited })
-  in
-  let release () =
-    emit t (fun () ->
-        Event.Lock_release
-          { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node = my_node })
-  in
-  (* Cohort-protocol traffic rides the faulty channel; everything else
-     (replica-write RPCs, abort requests, Snoop rounds) is modeled as a
-     reliable control plane. *)
-  let send_coord msg =
-    Net.send ~faulty:true t.net ~src:self ~dst:Host (fun () ->
-        Mailbox.send rt.Messages.coord_mb msg)
-  in
-  (* 2PC termination protocol: ask the coordinator (if still live on
-     this attempt) what was decided; otherwise answer from the host's
-     decision log — no entry means presumed abort. *)
-  let send_inquiry () =
-    Net.send ~faulty:true t.net ~src:self ~dst:Host (fun () ->
-        match Hashtbl.find_opt t.live txn.Txn.tid with
-        | Some rt' when Txn.same_attempt rt'.Messages.txn txn ->
-            Mailbox.send rt'.Messages.coord_mb (Messages.Inquiry (txn, my_node))
-        | Some _ | None ->
-            let commit =
-              match t.faults with
-              | Some f -> (
-                  match decision_of f txn with Some c -> c | None -> false)
-              | None -> false
-            in
-            Net.send_async ~faulty:true t.net ~src:Host ~dst:self (fun () ->
-                Mailbox.send mb
-                  (if commit then Messages.Do_commit else Messages.Do_abort)))
-  in
-  let initiate_deferred_writes () =
-    let write_one () =
-      Cpu.consume node.Node.cpu ~instructions:resources.Params.inst_per_update;
-      Disk.submit_write (Node.random_disk node) ignore
-    in
-    List.iter
-      (fun (op : Plan.page_op) -> if op.Plan.update then write_one ())
-      cplan.Plan.ops;
-    (* replica copies installed at this node *)
-    List.iter (fun (_ : Ids.Page.t) -> write_one ()) cplan.Plan.apply_ops
-  in
-  try
-    (if proxy then
-       (* the coordinator may have never seen the primary's Work_done;
-          a duplicate is ignored *)
-       send_coord (Messages.Work_done my_node)
-     else begin
-       emit t (fun () ->
-           Event.Cohort_start { tid; attempt; node = my_node });
-       wal_append (Wal.Begin { tid; attempt });
-       (* Work phase: each page access is a CC request, a disk read, and
-          a slice of CPU. The transaction manager knows at access time
-          whether the page will be updated, so the read lock of an update
-          access is converted to a write lock immediately at access time
-          (a zero-width upgrade window, matching the paper's model) and
-          the page's disk write is deferred to after commit. *)
-       List.iter
-         (fun (op : Plan.page_op) ->
-           check_doomed txn;
-           cc_access Event.Read op.Plan.page;
-           if op.Plan.update then begin
-             check_doomed txn;
-             cc_access Event.Write op.Plan.page;
-             wal_append (Wal.Update { tid; attempt; page = op.Plan.page });
-             (* read-one/write-all: lock the remote copies now unless the
-                algorithm defers them to the commit protocol. The round
-                trips land in the decomposition's message/other residual. *)
-             if
-               write_all_at_access t.params.Params.cc.Params.algorithm
-               && t.params.Params.database.Params.replication > 1
-             then begin
-               check_doomed txn;
-               acquire_replica_writes t txn ~from_node:my_node op.Plan.page
-             end
-           end;
-           (* permission fully granted: the auditor observes the version
-              this access sees, atomically with the grant *)
-           Option.iter (fun a -> Audit.record_read a txn op.Plan.page) t.audit;
-           check_doomed txn;
-           let t0 = Engine.now t.eng in
-           Disk.read (Node.random_disk node);
-           let disk_dur = Engine.now t.eng -. t0 in
-           usage.Messages.u_disk <- usage.Messages.u_disk +. disk_dur;
-           emit t (fun () ->
-               Event.Disk_access
-                 { tid; attempt; node = my_node; write = false; dur = disk_dur });
-           check_doomed txn;
-           let t0 = Engine.now t.eng in
-           Cpu.consume node.Node.cpu
-             ~instructions:(Workload.draw_page_instructions t.workload);
-           let cpu_dur = Engine.now t.eng -. t0 in
-           usage.Messages.u_cpu <- usage.Messages.u_cpu +. cpu_dur;
-           emit t (fun () ->
-               Event.Cpu_slice { tid; attempt; node = my_node; dur = cpu_dur }))
-         cplan.Plan.ops;
-       (* Primary/backup replication: ship the write-set to the backup
-          before reporting the work done, so a crash of this node can be
-          survived by failing the cohort over instead of dooming the
-          attempt. One faulty-channel message; registration at the backup
-          is marked on delivery. *)
-       if
-         durability.Params.replicas > 0 && is_updater
-         && Array.length t.procs > 1
-       then begin
-         let b = backup_of t my_node in
-         Net.send ~faulty:true t.net ~src:self ~dst:(Proc b) (fun () ->
-             Hashtbl.replace rt.Messages.shipped_nodes my_node ())
-       end;
-       send_coord (Messages.Work_done my_node)
-     end);
-    let my_vote = ref None in
-    let rec protocol ~round =
-      match recv t mb ~round with
-      | `Timeout f ->
-          if not (relocated_away ()) then begin
-            note_timeout t f txn ~at_node:self ~round;
-            f.retries <- f.retries + 1;
-            (match !my_vote with
-            | None ->
-                (* the coordinator may have missed our Work_done *)
-                send_coord (Messages.Work_done my_node)
-            | Some true ->
-                (* in doubt: run the termination protocol *)
-                send_inquiry ()
-            | Some false -> send_coord (Messages.Vote (my_node, false)));
-            protocol ~round:(round + 1)
-          end
-      | `Msg Messages.Do_prepare -> (
-          match !my_vote with
-          | Some v ->
-              (* retransmitted prepare: re-vote from memory; the CC
-                 prepare step must not run twice *)
-              send_coord (Messages.Vote (my_node, v));
-              protocol ~round:1
-          | None ->
-              (* from here the cohort may block inside its CC manager, so
-                 a crash can no longer fail it over to the backup — a
-                 proxy would double-drive the manager *)
-              Hashtbl.replace rt.Messages.preparing_nodes my_node ();
-              (* algorithms that defer replica write permission to the
-                 commit protocol obtain it now; the write intent arrived
-                 with the prepare message, so no extra messages are
-                 charged. O2PL and 2PL-D may block here (covered by the
-                 Snoop); OPT merely registers the writes for
-                 certification. *)
-              (if
-                 (not
-                    (write_all_at_access t.params.Params.cc.Params.algorithm))
-                 && cplan.Plan.apply_ops <> []
-               then
-                 List.iter
-                   (fun page -> cc_access ~work:false Event.Write page)
-                   cplan.Plan.apply_ops);
-              (* optional logging model: an updating cohort forces its log
-                 page to disk before it can vote yes (footnote 5) *)
-              if resources.Params.model_logging && is_updater then begin
-                let t0 = Engine.now t.eng in
-                Disk.write (Node.random_disk node);
-                emit t (fun () ->
-                    Event.Disk_access
-                      { tid; attempt; node = my_node; write = true;
-                        dur = Engine.now t.eng -. t0 })
-              end;
-              (* a proxy replays the shipped write-set into its own
-                 node's log; replica installs are logged where they will
-                 be applied *)
-              if proxy then begin
-                wal_append (Wal.Begin { tid; attempt });
-                List.iter
-                  (fun (op : Plan.page_op) ->
-                    if op.Plan.update then
-                      wal_append (Wal.Update { tid; attempt; page = op.Plan.page }))
-                  cplan.Plan.ops
-              end;
-              List.iter
-                (fun page -> wal_append (Wal.Update { tid; attempt; page }))
-                cplan.Plan.apply_ops;
-              let vote = cc.Cc_intf.cc_prepare txn in
-              my_vote := Some vote;
-              (* a yes vote makes the cohort's state durable (in doubt)
-                 before the vote can possibly reach the coordinator: the
-                 prepare record is forced regardless of the force
-                 policy *)
-              (match wal with
-              | Some w when is_updater ->
-                  if vote then begin
-                    Wal.append w (Wal.Prepare { tid; attempt });
-                    wal_force ~accrue:true w
-                  end
-                  else Wal.append w (Wal.Abort { tid; attempt })
-              | Some _ | None -> ());
-              if vote then begin
-                Hashtbl.replace rt.Messages.voted_nodes my_node ();
-                Metrics.record_prepared t.metrics ~tid ~attempt ~node:my_node
-              end;
-              send_coord (Messages.Vote (my_node, vote));
-              protocol ~round:1)
-      | `Msg Messages.Do_commit ->
-          Metrics.record_decided t.metrics ~tid ~attempt ~node:my_node;
-          (* crash recovery may have already redone this cohort's
-             installs from the durable log; the late Do_commit then only
-             releases the CC footprint and acknowledges *)
-          let already_installed =
-            match wal with
-            | Some w -> Wal.installed w ~tid ~attempt
-            | None -> false
-          in
-          if not already_installed then initiate_deferred_writes ();
-          (* snapshot the installs and perform them in the same event *)
-          let installed = cc.Cc_intf.cc_installed txn in
-          cc.Cc_intf.cc_commit txn;
-          release ();
-          Option.iter
-            (fun a ->
-              (* replica installs are physical copies of the same logical
-                 page; the auditor counts only primary installs *)
-              let primary page =
-                List.exists
-                  (fun (op : Plan.page_op) -> Ids.Page.equal op.Plan.page page)
-                  cplan.Plan.ops
-              in
-              List.iter
-                (fun page ->
-                  if primary page then Audit.record_install a txn page)
-                installed)
-            t.audit;
-          (match wal with
-          | Some w when is_updater ->
-              Wal.append w (Wal.Commit { tid; attempt });
-              (match durability.Params.log_force with
-              | Params.At_commit -> wal_force ~accrue:false w
-              | Params.At_prepare -> ());
-              Wal.mark_installed w ~tid ~attempt
-          | Some _ | None -> ());
-          send_coord (Messages.Done_ack my_node)
-      | `Msg Messages.Do_abort ->
-          Metrics.record_decided t.metrics ~tid ~attempt ~node:my_node;
-          cc.Cc_intf.cc_abort txn;
-          release ();
-          wal_append (Wal.Abort { tid; attempt });
-          send_coord (Messages.Done_ack my_node)
-    in
-    protocol ~round:1
-  with Txn.Aborted reason ->
-    cc.Cc_intf.cc_abort txn;
-    release ();
-    (match reason with
-    | Txn.Bto_conflict | Txn.Cert_failed | Txn.Died ->
-        (* self-inflicted: the coordinator does not know yet *)
-        send_coord (Messages.Cohort_aborted (my_node, reason))
-    | Txn.Local_deadlock | Txn.Global_deadlock | Txn.Wounded | Txn.Peer_abort
-    | Txn.Crashed | Txn.Timed_out ->
-        ());
-    (* wait for the coordinator's abort command, then acknowledge; under
-       faults the command may be lost, so inquire on timeout (a finished
-       attempt is answered from the decision log: presumed abort) *)
-    let rec drain ~round =
-      match recv t mb ~round with
-      | `Msg Messages.Do_abort -> ()
-      | `Msg (Messages.Do_prepare | Messages.Do_commit) -> drain ~round
-      | `Timeout f ->
-          note_timeout t f txn ~at_node:self ~round;
-          f.retries <- f.retries + 1;
-          send_inquiry ();
-          drain ~round:(round + 1)
-    in
-    drain ~round:1;
-    send_coord (Messages.Done_ack my_node)
-
-(* A processing-node crash loses volatile state, including the WAL's
-   un-forced tail. A resident cohort that has not yet voted is a
-   casualty: with primary/backup replication on, if its write-set was
-   delivered to a live backup and it is not already mid-prepare, a proxy
-   fiber at the backup takes over its commit-protocol role (failover);
-   otherwise the attempt is doomed and the cohort's CC footprint
-   force-cleaned out of band, exactly as without replication. Prepared
-   (voted) cohorts are in doubt: their durable prepare record and the
-   termination protocol finish them after repair. *)
-let lose_volatile_state t f i =
-  (match t.wal with
-  | Some wals ->
-      (* torn-tail fault: the crash not only drops the un-forced tail
-         but tears it — the tail's dependency records are clipped and
-         the next recovery must degrade to serial physical redo. One
-         draw per crash (the tear only takes effect when the dropped
-         tail is non-empty); zero draws when the mode is off, so
-         existing plans replay unchanged. *)
-      let torn =
-        f.plan.Fault_plan.torn_tail > 0.
-        && Rng.bool f.tear_rng ~p:f.plan.Fault_plan.torn_tail
-      in
-      Wal.on_crash ~torn wals.(i)
-  | None -> ());
-  let replicas = t.params.Params.durability.Params.replicas in
-  let startup = t.params.Params.resources.Params.inst_per_startup in
-  List.iter
-    (fun (rt : Messages.attempt_runtime) ->
-      let txn = rt.Messages.txn in
-      if decision_of f txn = None then
-        List.iter
-          (fun orig ->
-            if
-              Int.equal (resident_node rt orig) i
-              && not (Hashtbl.mem rt.Messages.voted_nodes orig)
-            then begin
-              let b = backup_of t orig in
-              let cplan =
-                if
-                  replicas > 0 && b <> orig
-                  && Hashtbl.mem rt.Messages.shipped_nodes orig
-                  && (not (Hashtbl.mem rt.Messages.preparing_nodes orig))
-                  && (not (Hashtbl.mem rt.Messages.relocated orig))
-                  && up f (Proc b)
-                then cohort_plan_of txn orig
-                else None
-              in
-              match cplan with
-              | Some cplan ->
-                  (* failover: route the coordinator to the backup and
-                     hand the (possibly in-flight) protocol messages to
-                     a fresh mailbox owned by the proxy *)
-                  Hashtbl.replace rt.Messages.relocated orig b;
-                  let mb = Mailbox.create () in
-                  Hashtbl.replace rt.Messages.cohort_mbs orig mb;
-                  f.failovers <- f.failovers + 1;
-                  emit t (fun () ->
-                      Event.Cohort_resurrected
-                        { tid = txn.Txn.tid; attempt = txn.Txn.attempt;
-                          node = orig; backup = b });
-                  Cpu.submit t.procs.(b).Node.cpu ~instructions:startup
-                    (fun () ->
-                      Engine.spawn t.eng (fun () ->
-                          run_cohort ~proxy:true t rt cplan mb))
-              | None ->
-                  doom rt Txn.Crashed;
-                  orphan t f txn orig
-            end)
-          (sorted_keys rt.Messages.cohort_mbs))
-    (live_attempts t)
-
-(* Crash recovery at a processing node (WAL model on), in three stages:
-
-   1. analysis — scan the durable log and resolve the in-doubt set
-      against the host's decision log (one control-plane round trip);
-   2. partition — group the commit-decided transactions into
-      independent redo chains from the dependency records logged with
-      each update ([Wal.redo_chains]): transactions whose write-sets
-      never met land in different chains;
-   3. redo — replay the chains on [durability.recovery_jobs] concurrent
-      worker fibers, installing the durable updates of commit-decided
-      transactions onto the data disks, then take a truncating
-      checkpoint.
-
-   [recovery_jobs = 1] preserves the original serial redo pass exactly.
-   When a torn log tail clipped the dependency records
-   ([Wal.deps_corrupt]), a chain-parallel pass degrades to the same
-   serial physical redo — which needs no dependency information — and
-   repairs the dependency index once the checkpoint lands.
-
-   Recovery is re-entrant: a re-crash while recovering abandons the
-   pass (the up-guards below), and the next recovery starts over from
-   the durable log; redo is idempotent, so no committed update is
-   lost. A cohort fiber that later receives the (retried) Do_commit
-   finds its installs already done and only releases its CC footprint
-   and acknowledges. In-doubt attempts that are still live stay in
-   doubt — the ordinary termination protocol resolves them — and
-   finished attempts without a logged decision are presumed aborted. *)
-let rec spawn_recovery t f i wal =
-  Engine.spawn t.eng (fun () ->
-      emit t (fun () -> Event.Recovery_started { node = i });
-      let t0 = Engine.now t.eng in
-      (* crash-during-recovery fault: with probability [recrash] this
-         pass is interrupted by a second crash moments after it starts,
-         exercising the re-entrancy above. The repair time reuses the
-         plan's MTTR stream parameters. *)
-      if
-        f.plan.Fault_plan.recrash > 0.
-        && Rng.bool f.recrash_rng ~p:f.plan.Fault_plan.recrash
-      then begin
-        let delay =
-          Rng.exponential f.recrash_rng
-            ~mean:(f.plan.Fault_plan.mean_repair /. 100.)
-        in
-        let duration =
-          Rng.exponential f.recrash_rng ~mean:f.plan.Fault_plan.mean_repair
-        in
-        ignore
-          (Engine.schedule_after t.eng ~delay (fun () ->
-               crash t f (Proc i) ~duration)
-            : Engine.handle)
-      end;
-      Wal.scan wal;
-      let doubts = Wal.in_doubt wal in
-      let resolved = ref [] in
-      if doubts <> [] then begin
-        let got : unit Ivar.t = Ivar.create () in
-        Net.send t.net ~src:(Proc i) ~dst:Host (fun () ->
-            let answers =
-              List.map
-                (fun (tid, attempt) ->
-                  let live =
-                    match Hashtbl.find_opt t.live tid with
-                    | Some rt -> Int.equal rt.Messages.txn.Txn.attempt attempt
-                    | None -> false
-                  in
-                  (tid, attempt, live, Hashtbl.find_opt f.decisions (tid, attempt)))
-                doubts
-            in
-            Net.send_async t.net ~src:Host ~dst:(Proc i) (fun () ->
-                resolved := answers;
-                Ivar.fill got ()));
-        Ivar.read got
-      end;
-      if up f (Proc i) then begin
-        let redone = ref 0 in
-        let node = t.procs.(i) in
-        let inst = t.params.Params.resources.Params.inst_per_update in
-        let jobs = t.params.Params.durability.Params.recovery_jobs in
-        let corrupt = Wal.deps_corrupt wal in
-        let abort_undecided (tid, attempt, live, decision) =
-          match decision with
-          | Some true -> ()
-          | Some false -> Wal.append wal (Wal.Abort { tid; attempt })
-          | None ->
-              if not live then Wal.append wal (Wal.Abort { tid; attempt })
-        in
-        let replay_commit ~tid ~attempt =
-          for _ = 1 to Wal.redo_pages wal ~tid ~attempt do
-            Cpu.consume node.Node.cpu ~instructions:inst;
-            Disk.write (Node.random_disk node)
-          done;
-          Wal.append wal (Wal.Commit { tid; attempt });
-          Wal.mark_installed wal ~tid ~attempt;
-          incr redone
-        in
-        if jobs <= 1 || corrupt then begin
-          (* serial physical redo: with [jobs = 1] this is the original
-             recovery pass, event for event; it doubles as the degraded
-             path when corrupt dependency records rule out chaining *)
-          if jobs > 1 then t.recovery_degraded <- t.recovery_degraded + 1;
-          List.iter
-            (fun ((tid, attempt, _, decision) as answer) ->
-              match decision with
-              | Some true -> replay_commit ~tid ~attempt
-              | Some false | None -> abort_undecided answer)
-            !resolved
-        end
-        else begin
-          (* chain-parallel redo: aborts are appended up front (pure log
-             records, no installs), then the commit-decided set is
-             partitioned into dependency chains and dealt round-robin to
-             [jobs] worker fibers. Chains share no pages and no
-             dependency edges, so the fiber interleaving cannot change
-             the recovered state. *)
-          List.iter abort_undecided !resolved;
-          let commit_keys =
-            List.filter_map
-              (fun (tid, attempt, _, decision) ->
-                match decision with
-                | Some true -> Some (tid, attempt)
-                | Some false | None -> None)
-              !resolved
-          in
-          let chains = Array.of_list (Wal.redo_chains wal commit_keys) in
-          let nchains = Array.length chains in
-          if nchains > 0 then begin
-            (* the chains must cover the commit-decided set exactly *)
-            assert (
-              Array.fold_left (fun n c -> n + List.length c) 0 chains
-              = List.length commit_keys);
-            let workers = Stdlib.min jobs nchains in
-            let dones =
-              Array.init workers (fun _ : unit Ivar.t -> Ivar.create ())
-            in
-            for w = 0 to workers - 1 do
-              Engine.spawn t.eng (fun () ->
-                  let c = ref w in
-                  while !c < nchains do
-                    let chain = !c in
-                    let members = chains.(chain) in
-                    let txns = List.length members in
-                    emit t (fun () ->
-                        Event.Recovery_chain_started { node = i; chain; txns });
-                    let c0 = Engine.now t.eng in
-                    List.iter
-                      (fun (tid, attempt) ->
-                        if up f (Proc i) then
-                          replay_commit ~tid ~attempt)
-                      members;
-                    if up f (Proc i) then begin
-                      let duration = Engine.now t.eng -. c0 in
-                      t.recovery_chains <- t.recovery_chains + 1;
-                      Metrics.record_chain t.metrics ~dur:duration;
-                      emit t (fun () ->
-                          Event.Recovery_chain_completed
-                            { node = i; chain; txns; duration })
-                    end;
-                    c := !c + workers
-                  done;
-                  Ivar.fill dones.(w) ())
-            done;
-            Array.iter Ivar.read dones
-          end
-        end;
-        Wal.append wal (Wal.Checkpoint { active = List.length doubts });
-        (* the recovery checkpoint force queues on the same log disk as
-           the forward path's forces; it joins the same latency
-           histogram, so histogram counts conserve against [Wal.forces] *)
-        let f0 = Engine.now t.eng in
-        Wal.force wal;
-        Metrics.record_log_force t.metrics ~dur:(Engine.now t.eng -. f0);
-        if up f (Proc i) then begin
-          if corrupt then Wal.repair_deps wal;
-          let dur = Engine.now t.eng -. t0 in
-          t.recoveries <- t.recoveries + 1;
-          t.recovery_time <- t.recovery_time +. dur;
-          Metrics.record_recovery t.metrics ~dur;
-          emit t (fun () ->
-              Event.Recovery_completed
-                { node = i; duration = dur; redone = !redone })
-        end
-      end)
-
-(* A crash of [node]: the site goes down for [duration], then comes
-   back up; a processing node with a WAL then runs crash recovery.
-
-   A host crash kills every coordinator whose decision is not yet
-   logged: those attempts abort on recovery (presumed abort). Attempts
-   with a logged decision continue — the coordinator fiber surviving
-   models recovery replaying the decision log. Terminals admit no new
-   transactions while the host is down. *)
-and crash t f node ~duration =
-  let s = site f node in
-  if Faults.Crashable.up s.state then begin
-    Faults.Crashable.crash s.state;
-    f.node_crashes <- f.node_crashes + 1;
-    s.down_since <- Some (Engine.now t.eng);
-    emit t (fun () -> Event.Node_crashed { node });
-    (match node with
-    | Host ->
-        let until = Engine.now t.eng +. duration in
-        if until > f.host_down_until then f.host_down_until <- until;
-        List.iter
-          (fun (rt : Messages.attempt_runtime) ->
-            if decision_of f rt.Messages.txn = None then doom rt Txn.Crashed)
-          (live_attempts t)
-    | Proc i -> lose_volatile_state t f i);
-    ignore
-      (Engine.schedule_after t.eng ~delay:duration (fun () ->
-           if not (Faults.Crashable.up s.state) then begin
-             Faults.Crashable.recover s.state;
-             (match s.down_since with
-             | Some since ->
-                 let d = Engine.now t.eng -. since in
-                 s.downtime <- s.downtime +. d;
-                 f.total_downtime <- f.total_downtime +. d;
-                 s.down_since <- None
-             | None -> ());
-             emit t (fun () -> Event.Node_recovered { node });
-             match (node, t.wal) with
-             | Proc i, Some wals -> spawn_recovery t f i wals.(i)
-             | Host, _ | Proc _, None -> ()
-           end)
-        : Engine.handle)
-  end
-
-let schedule_faults t f =
-  List.iter
-    (fun (c : Fault_plan.crash) ->
-      ignore
-        (Engine.schedule t.eng ~at:c.Fault_plan.at (fun () ->
-             crash t f c.Fault_plan.target ~duration:c.Fault_plan.duration)
-          : Engine.handle))
-    f.plan.Fault_plan.crashes;
-  if f.plan.Fault_plan.crash_rate > 0. then
-    Array.iteri
-      (fun i rng ->
-        let rec arm () =
-          let gap =
-            Rng.exponential rng ~mean:(1. /. f.plan.Fault_plan.crash_rate)
-          in
-          ignore
-            (Engine.schedule_after t.eng ~delay:gap (fun () ->
-                 if up f (Proc i) then begin
-                   let duration =
-                     Rng.exponential rng ~mean:f.plan.Fault_plan.mean_repair
-                   in
-                   crash t f (Proc i) ~duration
-                 end;
-                 arm ())
-              : Engine.handle)
-        in
-        arm ())
-      f.crash_rngs
-
-(* ------------------------------------------------------------------ *)
-(* Coordinator (runs inside the submitting terminal's process)         *)
-
-let load_cohort t (rt : Messages.attempt_runtime) (cplan : Plan.cohort_plan) =
-  let node_idx = cplan.Plan.node in
-  let mb =
-    (* a retransmitted load (lost first copy) reuses the mailbox *)
-    match Hashtbl.find_opt rt.Messages.cohort_mbs node_idx with
-    | Some mb -> mb
-    | None ->
-        let mb = Mailbox.create () in
-        Hashtbl.replace rt.Messages.cohort_mbs node_idx mb;
-        mb
-  in
-  emit t (fun () ->
-      Event.Cohort_load
-        {
-          tid = rt.Messages.txn.Txn.tid;
-          attempt = rt.Messages.txn.Txn.attempt;
-          node = node_idx;
-        });
-  let node = t.procs.(node_idx) in
-  let startup = t.params.Params.resources.Params.inst_per_startup in
-  Net.send ~faulty:true t.net ~src:Host ~dst:(Proc node_idx) (fun () ->
-      (* a duplicated load must not spawn a twin cohort *)
-      if not (Hashtbl.mem rt.Messages.arrived_nodes node_idx) then begin
-        Hashtbl.replace rt.Messages.arrived_nodes node_idx ();
-        Cpu.submit node.Node.cpu ~instructions:startup (fun () ->
-            Engine.spawn t.eng (fun () -> run_cohort t rt cplan mb))
-      end)
-
-(* Coordinator -> cohort send. The wire destination is resolved through
-   the relocation table (a failed-over cohort's proxy lives at its
-   backup), and the mailbox is looked up at delivery time — a failover
-   racing a message in flight must deliver to the proxy's fresh mailbox,
-   never to the dead primary fiber's. The CC footprint always lives at
-   the cohort's original node's manager, even after failover. *)
-let send_cohort t (rt : Messages.attempt_runtime) ~node_idx msg =
-  let dst = resident_node rt node_idx in
-  Net.send ~faulty:true t.net ~src:Host ~dst:(Proc dst) (fun () ->
-      (match msg with
-      | Messages.Do_abort ->
-          (* unblock the cohort if it is stuck in a CC queue *)
-          (Node.cc t.procs.(node_idx)).Cc_intf.cc_abort rt.Messages.txn
-      | Messages.Do_prepare | Messages.Do_commit -> ());
-      match Hashtbl.find_opt rt.Messages.cohort_mbs node_idx with
-      | Some mb -> Mailbox.send mb msg
-      | None -> ())
-
-let pending_set nodes =
-  let pending = Hashtbl.create 8 in
-  List.iter (fun n -> Hashtbl.replace pending n ()) nodes;
-  pending
-
-(* The coordinator's collect loop: wait until every node in
-   [pending] is accepted. [classify ~pending msg] sorts each message:
-   [`Accept n] takes the pending node [n] off the set and restarts the
-   timeout backoff; [`Abort r] stops the collection; [`Reprompt n] hands
-   [n] to [resend] without restarting the backoff, so a draining
-   cohort's inquiries cannot starve the timeout; [`Ignore] drops it.
-
-   On a timeout, a [doomable] collection first stops on an attempt that
-   a crash doomed. Otherwise the pending nodes that [lost] selects (all,
-   by default) are re-sent, one retry each; when it selects none, the
-   loop waits on without charging the retry budget. A [bounded]
-   collection stops with [Timed_out] once the budget is exhausted,
-   leaving the unanswered nodes in [pending]. *)
-let collect t (rt : Messages.attempt_runtime) ~classify ~resend
-    ?(lost = fun _ -> true) ~doomable ~bounded pending =
-  let txn = rt.Messages.txn in
-  let rec go ~round =
-    if Hashtbl.length pending = 0 then `Done
-    else
-      match recv t rt.Messages.coord_mb ~round with
-      | `Msg msg -> (
-          match classify ~pending msg with
-          | `Accept node ->
-              Hashtbl.remove pending node;
-              go ~round:1
-          | `Abort reason -> `Abort reason
-          | `Reprompt node ->
-              resend node;
-              go ~round
-          | `Ignore -> go ~round)
-      | `Timeout f -> (
-          note_timeout t f txn ~at_node:Host ~round;
-          match if doomable then rt.Messages.doom_reason else None with
-          | Some reason -> `Abort reason
-          | None -> (
-              match List.filter lost (sorted_keys pending) with
-              | [] -> go ~round:(round + 1)
-              | nodes ->
-                  if
-                    bounded
-                    && Backoff.exhausted
-                         ~max_retries:f.plan.Fault_plan.max_retries ~round
-                  then `Abort Txn.Timed_out
-                  else begin
-                    f.retries <- f.retries + List.length nodes;
-                    List.iter resend nodes;
-                    go ~round:(round + 1)
-                  end))
-  in
-  go ~round:1
-
-(* Wait for one Work_done per node in [nodes]; an abort trigger
-   interrupts. Records the node of each Work_done as it is processed, so
-   that when the work phase completes, [last_work_node] identifies the
-   cohort on its critical path (under parallel execution). Under faults,
-   a timeout re-sends any load message whose delivery was never observed
-   (bounded by the retry budget); cohorts that did arrive own the
-   retransmission of their Work_done, so the coordinator waits for them
-   at the capped timeout without charging its budget. *)
-let await_work t (rt : Messages.attempt_runtime) ~nodes =
-  let txn = rt.Messages.txn in
-  collect t rt ~doomable:true ~bounded:true
-    ~lost:(fun n -> not (Hashtbl.mem rt.Messages.arrived_nodes n))
-    ~resend:(fun n -> Option.iter (load_cohort t rt) (cohort_plan_of txn n))
-    ~classify:(fun ~pending -> function
-      | Messages.Work_done node when Hashtbl.mem pending node ->
-          rt.Messages.last_work_node <- node;
-          emit t (fun () ->
-              Event.Work_done
-                { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node });
-          `Accept node
-      | Messages.Cohort_aborted (_, reason) -> `Abort reason
-      | Messages.Abort_request (tx, reason) when Txn.same_attempt tx txn ->
-          `Abort reason
-      | Messages.Inquiry _ ->
-          (* a cohort only inquires pre-prepare when its Cohort_aborted
-             was lost and it is draining: treat as a peer abort *)
-          `Abort Txn.Peer_abort
-      | Messages.Work_done _ | Messages.Abort_request _ | Messages.Vote _
-      | Messages.Done_ack _ ->
-          `Ignore)
-    (pending_set nodes)
-
-(* Phase two: log the decision before any phase-two send, send it to
-   [nodes] and collect one Done_ack per node, re-sending it on an
-   inquiry or a timeout. A commit must reach every cohort, so its
-   retries are unbounded; an abort gives up after the retry budget.
-   Returns the nodes still unanswered. *)
-let decide t (rt : Messages.attempt_runtime) ~commit ~nodes =
-  let txn = rt.Messages.txn in
-  log_decision t txn commit;
-  emit t (fun () ->
-      Event.Decision { tid = txn.Txn.tid; attempt = txn.Txn.attempt; commit });
-  let decision = if commit then Messages.Do_commit else Messages.Do_abort in
-  let send node_idx = send_cohort t rt ~node_idx decision in
-  List.iter send nodes;
-  let pending = pending_set nodes in
-  ignore
-    (collect t rt ~doomable:false ~bounded:(not commit) ~resend:send
-       ~classify:(fun ~pending -> function
-         | Messages.Done_ack node when Hashtbl.mem pending node ->
-             `Accept node
-         | Messages.Inquiry (_, node) when Hashtbl.mem pending node ->
-             `Reprompt node
-         | Messages.Done_ack _ | Messages.Inquiry _ | Messages.Work_done _
-         | Messages.Cohort_aborted _ | Messages.Vote _
-         | Messages.Abort_request _ ->
-             `Ignore)
-       pending
-      : [ `Done | `Abort of Txn.abort_reason ]);
-  sorted_keys pending
-
-(* Abort the attempt and return the abort reason. Cohorts that stay
-   unreachable past the retry budget are orphaned — the late inquiry
-   they eventually make is answered from the decision log. *)
-let abort_attempt t (rt : Messages.attempt_runtime) reason =
-  let txn = rt.Messages.txn in
-  txn.Txn.phase <- Txn.Decided_abort;
-  txn.Txn.doomed <- true;
-  let missing =
-    decide t rt ~commit:false ~nodes:(sorted_keys rt.Messages.cohort_mbs)
-  in
-  Option.iter (fun f -> List.iter (orphan t f txn) missing) t.faults;
-  txn.Txn.phase <- Txn.Finished;
-  reason
-
-let commit_attempt t (rt : Messages.attempt_runtime) ~nodes =
-  let txn = rt.Messages.txn in
-  txn.Txn.phase <- Txn.Decided_commit;
-  ignore (decide t rt ~commit:true ~nodes : int list);
-  (* durability coverage obligation: every updating cohort's node (its
-     backup if failed over) must hold durable evidence of this commit at
-     end of run — checked by [lost_commits] *)
-  if Option.is_some t.wal then begin
-    let updaters =
-      List.filter_map
-        (fun (c : Plan.cohort_plan) ->
-          if Plan.updates c then Some (resident_node rt c.Plan.node) else None)
-        txn.Txn.plan.Plan.cohorts
-    in
-    t.committed_cov <-
-      (txn.Txn.tid, txn.Txn.attempt, updaters) :: t.committed_cov
-  end;
-  txn.Txn.phase <- Txn.Finished
-
-let run_two_phase_commit t (rt : Messages.attempt_runtime) =
-  let txn = rt.Messages.txn in
-  let nodes =
-    List.map
-      (fun (c : Plan.cohort_plan) -> c.Plan.node)
-      txn.Txn.plan.Plan.cohorts
-  in
-  txn.Txn.phase <- Txn.Voting;
-  txn.Txn.commit_ts <-
-    Some (Timestamp.Clock.make t.clock ~time:(Engine.now t.eng));
-  emit t (fun () ->
-      Event.Prepare { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
-  let prepare node_idx = send_cohort t rt ~node_idx Messages.Do_prepare in
-  List.iter prepare nodes;
-  match
-    collect t rt ~doomable:true ~bounded:true ~resend:prepare
-      ~classify:(fun ~pending -> function
-        | Messages.Vote (node, yes) when Hashtbl.mem pending node ->
-            if yes then rt.Messages.last_vote_node <- node;
-            emit t (fun () ->
-                Event.Vote
-                  { tid = txn.Txn.tid; attempt = txn.Txn.attempt; node; yes });
-            if yes then `Accept node else `Abort Txn.Cert_failed
-        | Messages.Cohort_aborted (_, reason) -> `Abort reason
-        | Messages.Abort_request (tx, reason) when Txn.same_attempt tx txn ->
-            `Abort reason
-        | Messages.Inquiry (_, node) when Hashtbl.mem pending node ->
-            (* an in-doubt cohort whose vote we may have missed: it
-               re-votes from memory *)
-            `Reprompt node
-        | Messages.Vote _ | Messages.Inquiry _ | Messages.Abort_request _
-        | Messages.Work_done _ | Messages.Done_ack _ ->
-            `Ignore)
-      (pending_set nodes)
-  with
-  | `Done ->
-      commit_attempt t rt ~nodes;
-      `Committed
-  | `Abort reason -> `Aborted (abort_attempt t rt reason)
-
-let run_attempt t (txn : Txn.t) =
-  let rt = Messages.make_runtime txn in
-  Hashtbl.replace t.live txn.Txn.tid rt;
-  Fun.protect
-    ~finally:(fun () ->
-      match Hashtbl.find_opt t.live txn.Txn.tid with
-      | Some cur when cur == rt -> Hashtbl.remove t.live txn.Txn.tid
-      | Some _ | None -> ())
-    (fun () ->
-      let t_begin = Engine.now t.eng in
-      emit t (fun () ->
-          Event.Attempt_start { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
-      (* coordinator process startup at the host *)
-      Cpu.consume t.host.Node.cpu
-        ~instructions:t.params.Params.resources.Params.inst_per_startup;
-      let t_setup_end = Engine.now t.eng in
-      emit t (fun () ->
-          Event.Setup_done { tid = txn.Txn.tid; attempt = txn.Txn.attempt });
-      let cohorts = txn.Txn.plan.Plan.cohorts in
-      let phase1 =
-        match t.params.Params.workload.Params.exec_pattern with
-        | Params.Parallel ->
-            List.iter (load_cohort t rt) cohorts;
-            await_work t rt
-              ~nodes:(List.map (fun (c : Plan.cohort_plan) -> c.Plan.node) cohorts)
-        | Params.Sequential ->
-            let rec go = function
-              | [] -> `Done
-              | c :: rest -> (
-                  load_cohort t rt c;
-                  match await_work t rt ~nodes:[ c.Plan.node ] with
-                  | `Done -> go rest
-                  | `Abort reason -> `Abort reason)
-            in
-            go cohorts
-      in
-      match phase1 with
-      | `Abort reason -> Aborted (abort_attempt t rt reason)
-      | `Done -> (
-          let t_work_end = Engine.now t.eng in
-          match run_two_phase_commit t rt with
-          | `Aborted reason -> Aborted reason
-          | `Committed ->
-              let t_end = Engine.now t.eng in
-              (* Work-phase critical path: the cohort whose Work_done
-                 arrived last under parallel execution; the sum over all
-                 cohorts (in node order, for float determinism) under
-                 sequential execution. *)
-              let blocked, disk, cpu =
-                match t.params.Params.workload.Params.exec_pattern with
-                | Params.Parallel -> (
-                    match
-                      Hashtbl.find_opt rt.Messages.usage
-                        rt.Messages.last_work_node
-                    with
-                    | Some u ->
-                        ( u.Messages.u_blocked,
-                          u.Messages.u_disk,
-                          u.Messages.u_cpu )
-                    | None -> (0., 0., 0.))
-                | Params.Sequential ->
-                    Hashtbl.fold
-                      (fun node u acc -> (node, u) :: acc)
-                      rt.Messages.usage []
-                    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-                    |> List.fold_left
-                         (fun (b, d, c) (_, u) ->
-                           ( b +. u.Messages.u_blocked,
-                             d +. u.Messages.u_disk,
-                             c +. u.Messages.u_cpu ))
-                         (0., 0., 0.)
-              in
-              (* the decision-gating log write: the prepare force of the
-                 last accepted yes vote's cohort *)
-              let log =
-                match
-                  Hashtbl.find_opt rt.Messages.usage rt.Messages.last_vote_node
-                with
-                | Some u -> u.Messages.u_log
-                | None -> 0.
-              in
-              Committed
-                (Decomp.assemble
-                   ~restart:(t_begin -. txn.Txn.origin_time)
-                   ~setup:(t_setup_end -. t_begin)
-                   ~exec:(t_work_end -. t_setup_end)
-                   ~blocked ~disk ~cpu ~log
-                   ~commit:(t_end -. t_work_end))))
-
-(* ------------------------------------------------------------------ *)
-(* Terminals                                                           *)
-
-let fresh_tid t =
-  let tid = t.next_tid in
-  t.next_tid <- t.next_tid + 1;
-  tid
-
-let make_attempt t ~tid ~attempt ~origin_time ~startup_ts ~plan =
-  let now = Engine.now t.eng in
-  {
-    Txn.tid;
-    attempt;
-    origin_time;
-    attempt_time = now;
-    startup_ts;
-    cc_ts =
-      (if attempt = 1 then startup_ts else Timestamp.Clock.make t.clock ~time:now);
-    commit_ts = None;
-    plan;
-    phase = Txn.Working;
-    doomed = false;
-  }
-
-(* Terminals live at the host: while it is down no new transaction (or
-   restart) can be admitted. The wait is a loop because the host may
-   crash again before the recovery the terminal slept towards. *)
-let rec await_host_up t =
-  match t.faults with
-  | None -> ()
-  | Some f ->
-      if not (up f Host) then begin
-        Engine.wait (Float.max 1e-9 (f.host_down_until -. Engine.now t.eng));
-        await_host_up t
-      end
-
-let plan_pages (plan : Plan.t) =
-  List.fold_left
-    (fun acc (c : Plan.cohort_plan) -> acc + List.length c.Plan.ops)
-    0 plan.Plan.cohorts
-
-(* One transaction from submission until an attempt commits: the inner
-   loop of a closed-loop terminal and of an open-loop dispatch. After an
-   abort the process sleeps [restart_delay k] (k = the aborted attempt),
-   waits for the host, and retries with [next_plan plan]. *)
-let run_transaction t ~plan ~restart_delay ~next_plan =
-  let origin_time = Engine.now t.eng in
-  Metrics.record_submit t.metrics;
-  let tid = fresh_tid t in
-  emit t (fun () -> Event.Submit { tid });
-  let startup_ts = Timestamp.Clock.make t.clock ~time:origin_time in
-  let rec attempt k plan =
-    let txn = make_attempt t ~tid ~attempt:k ~origin_time ~startup_ts ~plan in
-    let outcome = run_attempt t txn in
-    Metrics.record_completion t.metrics;
-    match outcome with
-    | Committed decomp ->
-        Option.iter (fun a -> Audit.record_commit a txn) t.audit;
-        emit t (fun () ->
-            Event.Committed
-              { tid; attempt = k; response = Engine.now t.eng -. origin_time });
-        Metrics.record_commit t.metrics ~origin_time
-          ~pages:(plan_pages txn.Txn.plan) ~decomp
-    | Aborted reason ->
-        Option.iter (fun a -> Audit.record_abort a txn) t.audit;
-        emit t (fun () -> Event.Aborted { tid; attempt = k; reason });
-        Metrics.record_abort t.metrics ~reason;
-        let delay = restart_delay k in
-        emit t (fun () -> Event.Restart_wait { tid; attempt = k; delay });
-        Engine.wait delay;
-        await_host_up t;
-        attempt (k + 1) (next_plan plan)
-  in
-  attempt 1 plan
-
-(* Closed-loop restarts sleep one observed mean response time and, with
-   [fresh_restart_plan], draw a new plan. *)
-let run_terminal t ~index =
-  Engine.spawn t.eng (fun () ->
-      let rec session () =
-        let think = Workload.think_time t.workload in
-        if think > 0. then
-          Engine.wait (Rng.exponential t.think_rng ~mean:think);
-        await_host_up t;
-        run_transaction t
-          ~plan:(Workload.generate_plan t.workload ~terminal:index)
-          ~restart_delay:(fun _ -> Metrics.restart_delay t.metrics)
-          ~next_plan:(fun plan ->
-            if t.params.Params.run.Params.fresh_restart_plan then
-              Workload.generate_plan t.workload ~terminal:index
-            else plan);
-        session ()
-      in
-      session ())
-
-(* ------------------------------------------------------------------ *)
-(* Open-loop arrivals and admission control                            *)
-
-let mpl_free a = a.spec.Arrival.mpl = 0 || a.in_flight < a.spec.Arrival.mpl
-
-(* Lazy deadline expiry: overstayed entries are dropped from the queue
-   head when we next look at it. Entries that would have expired but are
-   never reached before the run ends still count as queued — the
-   conservation identity absorbs them in still-queued. *)
-let expire_stale t a =
-  let deadline = a.spec.Arrival.deadline in
-  if deadline > 0. then begin
-    let now = Engine.now t.eng in
-    let dropped = ref false in
-    let rec loop () =
-      match Queue.peek_opt a.queue with
-      | Some p when now -. p.enqueued_at > deadline ->
-          ignore (Queue.pop a.queue : pending);
-          Metrics.record_expired t.metrics;
-          dropped := true;
-          loop ()
-      | Some _ | None -> ()
-    in
-    loop ();
-    if !dropped then Metrics.set_queue_depth t.metrics (Queue.length a.queue)
-  end
-
-(* Dispatch one admitted arrival. The one behavioural difference from a
-   terminal is the restart wait: closed-loop restarts sleep one observed
-   mean response time, which couples restart pressure to the very
-   congestion admission control is trying to relieve; open-loop restarts
-   back off on the spec's capped-exponential schedule instead.
-   [Params.validate] rejects fresh_restart_plan with open-loop arrivals,
-   so the retried plan is always the original. *)
-let rec dispatch t a (p : pending) =
-  a.in_flight <- a.in_flight + 1;
-  Metrics.record_admitted t.metrics;
-  Metrics.record_queue_wait t.metrics ~dur:(Engine.now t.eng -. p.enqueued_at);
-  Engine.spawn t.eng (fun () ->
-      await_host_up t;
-      run_transaction t ~plan:p.pending_plan
-        ~restart_delay:(fun k ->
-          Backoff.delay ~base:a.spec.Arrival.retry_base
-            ~cap:a.spec.Arrival.retry_cap ~round:k)
-        ~next_plan:Fun.id;
-      a.in_flight <- a.in_flight - 1;
-      drain t a)
-
-(* A completion freed an MPL slot (or expiry shortened the queue): move
-   queued work into the system while the gate allows. *)
-and drain t a =
-  expire_stale t a;
-  let continue = ref true in
-  while !continue do
-    if (not (Queue.is_empty a.queue)) && mpl_free a then begin
-      let p = Queue.pop a.queue in
-      Metrics.set_queue_depth t.metrics (Queue.length a.queue);
-      dispatch t a p
-    end
-    else continue := false
-  done
-
-(* Admission: dispatch when the MPL gate is open and nothing waits ahead
-   of us; queue while there is room; shed per policy at capacity. *)
-let admit t a p =
-  expire_stale t a;
-  if Queue.is_empty a.queue && mpl_free a then dispatch t a p
-  else if Queue.length a.queue < a.spec.Arrival.queue_cap then begin
-    Queue.push p a.queue;
-    Metrics.set_queue_depth t.metrics (Queue.length a.queue)
-  end
-  else
-    match a.spec.Arrival.shed with
-    | Arrival.Reject_newest -> Metrics.record_shed t.metrics
-    | Arrival.Reject_oldest ->
-        (* head out, arrival in: depth is unchanged *)
-        ignore (Queue.pop a.queue : pending);
-        Metrics.record_shed t.metrics;
-        Queue.push p a.queue
-
-(* The arrival pump: one fiber sampling the rate process and pushing
-   arrivals through admission. Plans are drawn at arrival time from the
-   per-terminal workload streams, round-robin over [num_terminals], so
-   the offered plan sequence depends only on the seed and the arrival
-   spec — never on the CC algorithm or on admission outcomes
-   (cross-algorithm workload agreement, exactly as in the closed loop). *)
-let run_arrival_pump t a =
-  let num_terminals = t.params.Params.workload.Params.num_terminals in
-  let run = t.params.Params.run in
-  let horizon = run.Params.warmup +. run.Params.measure in
-  Engine.spawn t.eng (fun () ->
-      let rec pump () =
-        let now = Engine.now t.eng in
-        match Arrival.next_arrival a.spec a.arr_rng ~now ~horizon with
-        | None -> ()
-        | Some at ->
-            if at > now then Engine.wait (at -. now);
-            Metrics.record_offered t.metrics;
-            let seq = a.next_seq in
-            a.next_seq <- seq + 1;
-            let plan =
-              Workload.generate_plan t.workload ~terminal:(seq mod num_terminals)
-            in
-            admit t a
-              { seq; enqueued_at = Engine.now t.eng; pending_plan = plan };
-            pump ()
-      in
-      pump ())
-
-(* ------------------------------------------------------------------ *)
-(* Run control and result collection                                   *)
-
 let reset_observation_windows t =
   Metrics.begin_window t.metrics;
   Node.reset_windows t.host;
@@ -1691,77 +239,6 @@ let mean_over array f =
   if Array.length array = 0 then 0.
   else Array.fold_left (fun acc x -> acc +. f x) 0. array
        /. float_of_int (Array.length array)
-
-(* The length of a site's open down-spell; zero while it is up. *)
-let open_downtime t s =
-  match s.down_since with Some since -> Engine.now t.eng -. since | None -> 0.
-
-(* Fraction of node-seconds (host + proc nodes) spent up over the
-   observation window. *)
-let availability t =
-  match t.faults with
-  | None -> 1.
-  | Some f ->
-      let window = Metrics.window_duration t.metrics in
-      if window <= 0. then 1.
-      else begin
-        let down =
-          Array.fold_left
-            (fun acc s -> acc +. s.downtime +. open_downtime t s)
-            0. f.sites
-        in
-        let nodes = float_of_int (Array.length f.sites) in
-        1. -. Float.min 1. (Float.max 0. (down /. (nodes *. window)))
-      end
-
-(* Grace period after which an open in-doubt interval counts as overdue
-   (i.e. the termination protocol failed): the full retry envelope, a
-   generous allowance for repeated inquiry loss, and any downtime — a
-   cohort at a crashed node legitimately stays in doubt until repair. *)
-let indoubt_grace t f =
-  let p = f.plan in
-  let open_downtime =
-    Array.fold_left (fun acc s -> acc +. open_downtime t s) 0. f.sites
-  in
-  (* jittered timeouts stretch each round by up to the jitter fraction *)
-  Backoff.total ~base:p.Fault_plan.timeout ~cap:p.Fault_plan.timeout_cap
-    ~max_retries:p.Fault_plan.max_retries
-  *. (1. +. p.Fault_plan.timeout_jitter)
-  +. (20. *. p.Fault_plan.timeout_cap)
-  +. f.total_downtime +. open_downtime
-
-(* The capstone durability check: a committed transaction is covered at
-   an updating cohort's node when that node's WAL digest shows the
-   installs done, a durable commit record, or a durable prepare record
-   together with the commit decision in the (stable) host decision log.
-   An untracked entry means the log never saw an update footprint there
-   or a checkpoint pruned a fully decided-and-installed one — nothing to
-   lose either way. Counts committed transactions missing durable
-   evidence at one or more nodes; must be zero. *)
-let lost_commits t =
-  match t.wal with
-  | None -> 0
-  | Some wals ->
-      let decided_commit tid attempt =
-        match t.faults with
-        | None -> true
-        | Some f -> (
-            match Hashtbl.find_opt f.decisions (tid, attempt) with
-            | Some c -> c
-            | None -> false)
-      in
-      List.fold_left
-        (fun acc (tid, attempt, nodes) ->
-          let covered node =
-            let w = wals.(node) in
-            (not (Wal.tracked w ~tid ~attempt))
-            || Wal.installed w ~tid ~attempt
-            || Wal.committed_durable w ~tid ~attempt
-            || (Wal.prepared_durable w ~tid ~attempt
-               && decided_commit tid attempt)
-          in
-          if List.for_all covered nodes then acc else acc + 1)
-        0 t.committed_cov
 
 let collect_result t ~wall_seconds =
   let blocking_total, blocking_count =
@@ -1795,7 +272,7 @@ let collect_result t ~wall_seconds =
     host_cpu_util = Node.cpu_utilization t.host;
     mean_active = Metrics.mean_active t.metrics;
     messages = Net.messages_sent t.net;
-    availability = availability t;
+    availability = Recovery.availability t;
     goodput = Metrics.goodput t.metrics;
     timeouts = (match t.faults with None -> 0 | Some f -> f.timeouts);
     retries = (match t.faults with None -> 0 | Some f -> f.retries);
@@ -1824,13 +301,14 @@ let collect_result t ~wall_seconds =
       | Some wals ->
           Array.fold_left (fun acc w -> acc + Wal.torn_tails w) 0 wals);
     failovers = (match t.faults with None -> 0 | Some f -> f.failovers);
-    lost_commits = lost_commits t;
+    lost_commits = Recovery.lost_commits t;
     indoubt_mean = Metrics.indoubt_mean t.metrics;
     indoubt_open_at_end = Metrics.indoubt_open t.metrics;
     indoubt_overdue_at_end =
       (match t.faults with
       | None -> 0
-      | Some f -> Metrics.indoubt_overdue t.metrics ~grace:(indoubt_grace t f));
+      | Some f ->
+          Metrics.indoubt_overdue t.metrics ~grace:(Recovery.indoubt_grace t f));
     decomp = Metrics.decomp_mean t.metrics;
     offered = Metrics.offered t.metrics;
     admitted = Metrics.admitted t.metrics;
@@ -2041,10 +519,10 @@ let execute ?(log = false) t =
   (match t.arrivals with
   | None ->
       for index = 0 to t.params.Params.workload.Params.num_terminals - 1 do
-        run_terminal t ~index
+        Admission.run_terminal t ~index
       done
-  | Some a -> run_arrival_pump t a);
-  Option.iter (fun f -> schedule_faults t f) t.faults;
+  | Some a -> Admission.run_arrival_pump t a);
+  Option.iter (fun f -> Recovery.schedule_faults t f) t.faults;
   Option.iter Ddbm_cc.Snoop.start t.snoop;
   (* Wall-clock cost is reported, never simulated; each worker domain
      reads its own interval. *)

@@ -10,10 +10,10 @@ type t
 (** Build a machine (validating the parameters; raises
     [Invalid_argument] on inconsistent configurations). Exposed for tests
     and custom drivers. [histograms] (default true) enables the
-    tail-latency histograms; [~histograms:false] is for pricing their
-    overhead in bench and never changes any simulation outcome — only the
-    histogram-derived outputs (p99/p999, {!registry} histogram families)
-    read 0. *)
+    tail-latency histograms; [~histograms:false] prices their overhead
+    (perfbench's traced pass reports [observer.histograms_overhead]) and
+    never changes any simulation outcome — only the histogram-derived
+    outputs (p99/p999, {!registry} histogram families) read 0. *)
 val create : ?histograms:bool -> Ddbm_model.Params.t -> t
 
 (** Attach a serializability auditor to a freshly created machine; after

@@ -1,4 +1,5 @@
-(** Coordinator/cohort message protocol.
+(** Coordinator/cohort message protocol and the per-attempt runtime
+    it routes through. Types only: this interface has no implementation.
 
     One coordinator mailbox and one mailbox per cohort exist per
     transaction attempt, so messages can never leak between attempts. The
@@ -15,8 +16,6 @@ type cohort_msg =
   | Do_commit
   | Do_abort
 
-val cohort_msg_name : cohort_msg -> string
-
 (** Cohort (or CC manager) -> coordinator. *)
 type coord_msg =
   | Work_done of int  (** cohort at node finished its reads and writes *)
@@ -32,8 +31,6 @@ type coord_msg =
           coordinator if any; otherwise answered from the host's decision
           log (presumed abort). *)
 
-val coord_msg_name : coord_msg -> string
-
 (** Work-phase resource usage of one cohort, accumulated as wall-clock
     deltas around its CC, disk, and CPU operations; feeds the
     response-time decomposition ({!Decomp}). *)
@@ -46,13 +43,41 @@ type cohort_usage = {
           without a modeled log disk) *)
 }
 
+(** One planned cohort of an attempt: its plan, its mailbox, and the
+    protocol state the coordinator and fault handling read. *)
+type cohort = {
+  plan : Plan.cohort_plan;
+  mutable mb : cohort_msg Mailbox.t option;
+      (** created by the first load message; [None] while unloaded *)
+  usage : cohort_usage;  (** all floats, so stored unboxed *)
+  mutable arrived : bool;
+      (** the load-cohort message was delivered; guards against a
+          retransmitted load spawning a twin cohort, and tells the
+          coordinator whether the load may have been lost *)
+  mutable voted : bool;
+      (** sent a yes vote — the cohort is prepared (in-doubt) and must
+          not be victimized by a node crash *)
+  mutable shipped : bool;
+      (** the cohort's write-set was delivered to its backup
+          (primary/backup replication): if the node crashes before the
+          cohort votes, the coordinator can fail over to the backup
+          instead of dooming the attempt *)
+  mutable preparing : bool;
+      (** began processing Do_prepare (may be blocked inside its CC
+          manager); such a cohort cannot be failed over — a backup proxy
+          would double-drive the CC manager *)
+  mutable backup : int option;
+      (** the backup node now running its proxy after a failover;
+          coordinator sends route there, and the original fiber exits
+          silently when it observes it *)
+}
+
 (** Per-attempt runtime shared between the coordinator and the message
     routing layer. *)
 type attempt_runtime = {
   txn : Txn.t;
   coord_mb : coord_msg Mailbox.t;
-  cohort_mbs : (int, cohort_msg Mailbox.t) Hashtbl.t;  (** node -> mailbox *)
-  usage : (int, cohort_usage) Hashtbl.t;  (** node -> work-phase usage *)
+  cohorts : cohort array;  (** one per planned cohort, in node order *)
   mutable last_work_node : int;
       (** node whose Work_done the coordinator processed last (-1 until
           the first arrives); the work-phase critical path under parallel
@@ -61,33 +86,8 @@ type attempt_runtime = {
       (** node whose yes vote the coordinator accepted last (-1 until the
           first); its prepare-record force gates the commit decision and
           feeds the decomposition's [log] component *)
-  arrived_nodes : (int, unit) Hashtbl.t;
-      (** nodes whose load-cohort message was delivered; guards against a
-          retransmitted load spawning a twin cohort, and tells the
-          coordinator which loads may have been lost *)
-  voted_nodes : (int, unit) Hashtbl.t;
-      (** nodes that sent a yes vote — their cohorts are prepared
-          (in-doubt) and must not be victimized by a node crash *)
-  shipped_nodes : (int, unit) Hashtbl.t;
-      (** nodes whose cohort's write-set was delivered to its backup
-          (primary/backup replication): if the node crashes before the
-          cohort votes, the coordinator can fail over to the backup
-          instead of dooming the attempt *)
-  preparing_nodes : (int, unit) Hashtbl.t;
-      (** nodes whose cohort has begun processing Do_prepare (may be
-          blocked inside its CC manager); such a cohort cannot be failed
-          over — a backup proxy would double-drive the CC manager *)
-  relocated : (int, int) Hashtbl.t;
-      (** original cohort node -> backup node now running its proxy;
-          coordinator sends route to the backup, and the original fiber
-          exits silently when it observes the entry *)
   mutable doom_reason : Txn.abort_reason option;
       (** set by fault handling (node crash) when the attempt must abort
           but no message can carry the news; the coordinator checks it on
           every receive timeout *)
 }
-
-val make_runtime : Txn.t -> attempt_runtime
-
-(** The usage record of [node], created on first access. *)
-val usage : attempt_runtime -> int -> cohort_usage

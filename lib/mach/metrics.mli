@@ -9,8 +9,9 @@
 type t
 
 (** [quantiles] (default true) enables the tail-latency histograms; when
-    false the histogram record paths are no-ops, so bench can price the
-    histogram overhead against an otherwise identical run. *)
+    false the histogram record paths are no-ops, so perfbench's traced
+    pass can price the histogram overhead against an otherwise identical
+    run. *)
 val create : ?quantiles:bool -> Desim.Engine.t -> restart_delay_floor:float -> t
 
 (** Discard all observations so far; start the measurement window now. *)
@@ -97,9 +98,6 @@ val active : t -> int
 (** Mean per-transaction response-time decomposition over the windowed
     commits; components sum to {!mean_response} up to float rounding. *)
 val decomp_mean : t -> Decomp.t
-
-(** Aggregated CC blocking-time tally (owned by callers). *)
-val blocked_time : t -> Desim.Stats.Tally.t
 
 (** {2 Open-loop admission accounting}
 
